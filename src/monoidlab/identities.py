@@ -234,96 +234,181 @@ class _Budget:
             )
 
 
-def _scan_matches(pattern: Word, target: Word, erasing: bool, budget: _Budget, on_match) -> None:
-    """Drive ``on_match(values, start, end)`` over every factor match of
-    the pattern into the target.
+# Letters are coded as supplementary private-use code points (planes 15
+# and 16), so the matcher slices and compares plain strings.
+_CODE_BASE = 0xF0000
+_CODE_LIMIT = 0x110000 - _CODE_BASE
 
-    ``values`` holds one segment (letter tuple) per pattern variable in
-    sorted variable order and is mutated in place; callbacks must copy
-    whatever they keep.  The matched span is ``target[start:end]``.  The
-    same assignment can reach the callback once per start position.
 
-    Backtracks over the start position and per-variable segments.  Two
-    sound prunes keep the tree small: a nonempty image of a variable
-    occurring k times must have at least k disjoint occurrences in the
-    target, and segments already bound in the rest of the pattern must
-    still fit into the remaining room.  Every candidate binding costs one
-    budget tick.
+class _Coding:
+    """One code point per letter, assigned in letter order.
+
+    Coded segments therefore compare, length first and then as strings,
+    exactly as the letter tuples they spell compare shortlex.
     """
-    pat = pattern.letters
-    tgt = target.letters
-    n = len(tgt)
-    m = len(pat)
+
+    __slots__ = ("code", "letters", "_words")
+
+    def __init__(self, alphabet):
+        self.letters = sorted(alphabet)
+        if len(self.letters) > _CODE_LIMIT:
+            raise ValueError(f"the matcher codes at most {_CODE_LIMIT} distinct letters")
+        self.code = {l: chr(_CODE_BASE + i) for i, l in enumerate(self.letters)}
+        self._words: dict[str, Word] = {}
+
+    def encode(self, w: Word) -> str:
+        code = self.code
+        return "".join([code[l] for l in w.letters])
+
+    def word(self, seg: str) -> Word:
+        """Decode one segment; words are immutable, so decodings are shared."""
+        out = self._words.get(seg)
+        if out is None:
+            letters = self.letters
+            out = self._words[seg] = Word(tuple([letters[ord(c) - _CODE_BASE] for c in seg]))
+        return out
+
+    def substitution(self, variables, values) -> Substitution:
+        return Substitution(tuple((v, self.word(seg)) for v, seg in zip(variables, values)))
+
+
+def _values_key(vals) -> tuple:
+    # coded segments in sorted variable order, each compared shortlex
+    return tuple((len(seg), seg) for seg in vals)
+
+
+def _scan_matches(
+    pattern: Word,
+    target: str,
+    erasing: bool,
+    budget: _Budget,
+    on_match,
+    other: Word | None = None,
+) -> None:
+    """Drive ``on_match(values, start, end)`` over every factor match of
+    the pattern into the coded target.
+
+    ``values`` holds one coded segment per pattern variable in sorted
+    variable order and is mutated in place; callbacks must copy whatever
+    they keep.  The matched span is ``target[start:end]``.  The same
+    assignment can reach the callback once per start position.
+
+    The walk backtracks, with an explicit stack, over the start position
+    and the segment of each variable at its first occurrence; later
+    occurrences only compare.  Two sound prunes keep the tree small: a
+    nonempty image of a variable occurring k times must have at least k
+    disjoint occurrences in the target, and segments already bound in the
+    rest of the pattern must still fit into the remaining room.  Every
+    start position and every candidate binding costs one budget tick.
+
+    With ``other`` given (a word over the same variables), a match whose
+    erased variables E already make ``pattern`` and ``other`` equal as
+    words once E is deleted is skipped along with its whole subtree: E
+    only grows deeper in the walk and the equality is upward-closed in E,
+    so no completion is reported.  The test is memoized by bitmask of E.
+    """
     variables = sorted(pattern.alphabet)
     var_index = {v: i for i, v in enumerate(variables)}
-    pat_idx = [var_index[c] for c in pat]
+    pat = [var_index[c] for c in pattern.letters]
+    n = len(target)
     k = len(variables)
     need = [0] * k
-    for vi in pat_idx:
+    for vi in pat:
         need[vi] += 1
-    suffix_counts = [[0] * k for _ in range(m + 1)]
-    for pos in range(m - 1, -1, -1):
-        row = suffix_counts[pos + 1][:]
-        row[pat_idx[pos]] += 1
-        suffix_counts[pos] = row
-    disjoint_cache: dict[tuple, int] = {}
+    # The pattern splits into k blocks, one per variable in order of first
+    # occurrence: that occurrence, then the run of bound variables after it.
+    block_var: list[int] = []
+    runs: list[list[int]] = []
+    for vi in pat:
+        if vi in block_var:
+            runs[-1].append(vi)
+        else:
+            block_var.append(vi)
+            runs.append([])
+    # Room terms per block: later occurrence counts of the variables bound
+    # before it, and of its own variable.
+    later_own: list[int] = []
+    room_terms: list[list[tuple[int, int]]] = []
+    pos = 0
+    for d, vi in enumerate(block_var):
+        pos += 1
+        later = [0] * k
+        for j in pat[pos:]:
+            later[j] += 1
+        later_own.append(later[vi])
+        room_terms.append([(j, later[j]) for j in block_var[:d] if later[j]])
+        pos += len(runs[d])
 
-    def disjoint_occurrences(seg: tuple) -> int:
-        cached = disjoint_cache.get(seg)
-        if cached is not None:
-            return cached
-        count = 0
-        i = 0
-        step = len(seg)
-        while i + step <= n:
-            if tgt[i : i + step] == seg:
-                count += 1
-                i += step
-            else:
-                i += 1
-        disjoint_cache[seg] = count
-        return count
+    if other is None:
+        trivial = None
+    else:
+        other_idx = [var_index[c] for c in other.letters]
+        trivial = {}
 
-    values: list[tuple | None] = [None] * k
+    def is_trivial(mask: int) -> bool:
+        hit = trivial.get(mask)
+        if hit is None:
+            hit = trivial[mask] = [i for i in pat if not mask >> i & 1] == [
+                i for i in other_idx if not mask >> i & 1
+            ]
+        return hit
+
+    values: list[str | None] = [None] * k
     low = 0 if erasing else 1
-    start = 0
+    tick = budget.tick
+    count = target.count
+    startswith = target.startswith
+    base = [0] * k  # target position where block d starts
+    masks = [0] * k  # erased variables bound before block d
+    nxt = [0] * k  # next segment length to try in block d
+    top = [0] * k  # longest segment that still leaves room in block d
 
-    def walk(pos: int, end: int) -> None:
-        if pos == m:
-            on_match(values, start, end)
-            return
-        vi = pat_idx[pos]
-        seg = values[vi]
-        if seg is not None:
-            step = len(seg)
-            if tgt[end : end + step] == seg:
-                walk(pos + 1, end + step)
-            return
-        later = suffix_counts[pos + 1]
+    def open_block(d: int, end: int, mask: int) -> None:
         room = n - end
-        for j in range(k):
-            bound = values[j]
-            if bound is not None and later[j]:
-                room -= later[j] * len(bound)
-        max_step = room // (1 + later[vi])
-        needed = need[vi]
-        for step in range(low, max_step + 1):
-            budget.tick()
-            g = tgt[end : end + step]
-            if step and needed > 1 and disjoint_occurrences(g) < needed:
-                continue
-            values[vi] = g
-            walk(pos + 1, end + step)
-        values[vi] = None
+        for j, c in room_terms[d]:
+            room -= c * len(values[j])
+        base[d] = end
+        masks[d] = mask
+        nxt[d] = low
+        top[d] = room // (1 + later_own[d])
 
+    last = k - 1
     for start in range(n + 1):
-        budget.tick()
-        walk(0, start)
-
-
-def _values_key(vals: tuple) -> tuple:
-    # segments in sorted variable order, each compared shortlex
-    return tuple((len(seg), tuple(l.sort_key() for l in seg)) for seg in vals)
+        tick()
+        open_block(0, start, 0)
+        d = 0
+        while d >= 0:
+            step = nxt[d]
+            if step > top[d]:
+                d -= 1
+                continue
+            nxt[d] = step + 1
+            tick()
+            vi = block_var[d]
+            e0 = base[d]
+            seg = target[e0 : e0 + step]
+            mask = masks[d]
+            if step:
+                # str.count counts disjoint occurrences
+                if need[vi] > 1 and count(seg) < need[vi]:
+                    continue
+            else:
+                mask |= 1 << vi
+                if trivial is not None and is_trivial(mask):
+                    continue
+            values[vi] = seg
+            end = e0 + step
+            for j in runs[d]:
+                s = values[j]
+                if not startswith(s, end):
+                    break
+                end += len(s)
+            else:
+                if d == last:
+                    on_match(values, start, end)
+                else:
+                    d += 1
+                    open_block(d, end, mask)
 
 
 def match_pattern(
@@ -341,19 +426,15 @@ def match_pattern(
     """
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
-    counter = _Budget(budget)
+    coding = _Coding(target.alphabet)
     variables = sorted(pattern.alphabet)
     found: set[tuple] = set()
 
     def on_match(values, start, end):
         found.add(tuple(values))
 
-    _scan_matches(pattern, target, erasing, counter, on_match)
-    ordered = sorted(found, key=_values_key)
-    return [
-        Substitution(tuple((v, Word(seg)) for v, seg in zip(variables, vals)))
-        for vals in ordered
-    ]
+    _scan_matches(pattern, coding.encode(target), erasing, _Budget(budget), on_match)
+    return [coding.substitution(variables, vals) for vals in sorted(found, key=_values_key)]
 
 
 def scan_matches(
@@ -373,15 +454,13 @@ def scan_matches(
     """
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
-    counter = _Budget(budget)
+    coding = _Coding(target.alphabet)
     variables = sorted(pattern.alphabet)
 
     def handle(values, start, end):
-        on_match(
-            Substitution(tuple((v, Word(seg)) for v, seg in zip(variables, values)))
-        )
+        on_match(coding.substitution(variables, values))
 
-    _scan_matches(pattern, target, erasing, counter, handle)
+    _scan_matches(pattern, coding.encode(target), erasing, _Budget(budget), handle)
 
 
 def check_rees(
@@ -397,6 +476,14 @@ def check_rees(
     side's image to be the very same word.  Matches are streamed and only
     the least mismatch is retained, so memory stays flat even when the
     match count is large.
+
+    Matches that erase a variable set E with ``u`` and ``v`` equal as
+    words once E is deleted send both sides to the same word, so they can
+    never be witnesses.  The matcher cuts each such subtree at the erase
+    decision that makes it trivial, at no budget cost beyond that
+    decision's tick (the deletion argument for M(W) of Jackson and Sapir,
+    "Finitely based, finite sets of words", 2000).  ``evaluations`` counts
+    the non-trivial matches examined.
     """
     alf_l = ident.lhs.alphabet
     alf_r = ident.rhs.alphabet
@@ -407,6 +494,8 @@ def check_rees(
     if ident.lhs == ident.rhs:
         return CheckOutcome(HOLDS, None, 0)
     counter = _Budget(budget)
+    # one coding for the whole set, so witness keys compare across words
+    coding = _Coding(frozenset().union(*(w.alphabet for w in word_set)))
     variables = sorted(alf_l)
     var_index = {v: i for i, v in enumerate(variables)}
     examined = 0
@@ -415,26 +504,19 @@ def check_rees(
     for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
         v_idx = [var_index[c] for c in v.letters]
         for w in word_set:
-            tgt = w.letters
+            tgt = coding.encode(w)
 
             def on_match(values, start, end, _tgt=tgt, _v_idx=v_idx):
                 nonlocal examined, best_key, best_vals
                 examined += 1
-                image_v: list[Letter] = []
-                for i in _v_idx:
-                    image_v.extend(values[i])
-                if tuple(image_v) != _tgt[start:end]:
-                    vals = tuple(values)
-                    key = _values_key(vals)
+                if "".join([values[i] for i in _v_idx]) != _tgt[start:end]:
+                    key = _values_key(values)
                     if best_key is None or key < best_key:
-                        best_key, best_vals = key, vals
+                        best_key, best_vals = key, tuple(values)
 
-            _scan_matches(u, w, True, counter, on_match)
+            _scan_matches(u, tgt, True, counter, on_match, other=v)
     if best_vals is not None:
-        witness = Substitution(
-            tuple((v, Word(seg)) for v, seg in zip(variables, best_vals))
-        )
-        return CheckOutcome(FAILS, witness, examined)
+        return CheckOutcome(FAILS, coding.substitution(variables, best_vals), examined)
     return CheckOutcome(HOLDS, None, examined)
 
 

@@ -72,6 +72,16 @@ def test_check_rees_method_needs_rees_monoid(capsys):
     assert "rees" in err
 
 
+def test_check_rees_deep_identity(capsys):
+    # sides longer than the recursion limit
+    code, out, _ = run(
+        capsys,
+        "check", "--monoid", "rees:ab", "--identity", "x^1500y=yx^1500", "--method", "rees",
+    )
+    assert code == 0
+    assert out.strip() == "HOLDS"
+
+
 def test_check_json(capsys):
     code, out, _ = run(
         capsys,

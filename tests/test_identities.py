@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidlab import (
     EPSILON,
@@ -15,6 +18,7 @@ from monoidlab import (
     ZERO,
     BadZeroError,
     BudgetExceededError,
+    Identity,
     Letter,
     ParseError,
     Substitution,
@@ -216,6 +220,13 @@ def test_scan_matches_streams_same_set():
         assert set(streamed) == set(match_pattern(pattern, target))
 
 
+def test_match_pattern_deep_pattern():
+    # longer than the recursion limit: the walker keeps its own stack
+    assert 1500 > sys.getrecursionlimit()
+    subs = match_pattern(parse_word("x^1500"), parse_word("ab"))
+    assert subs == [Substitution.of({Letter("x"): EPSILON})]
+
+
 def test_match_pattern_budget():
     with pytest.raises(BudgetExceededError):
         match_pattern(generate_wn(2), generate_wn(2), budget=100)
@@ -280,6 +291,14 @@ def test_check_rees_separation_off_diagonal():
     assert check_rees(WordSet.of([generate_wn(1)]), separation_identity(2)).status == HOLDS
 
 
+def test_check_rees_separation_off_diagonal_three_default_budget():
+    # sep(2) in w_3 and sep(3) in w_2 fit the default budget because the
+    # subtrees of trivial erasures are cut
+    for k in (1, 2):
+        assert check_rees(WordSet.of([generate_wn(3)]), separation_identity(k)).status == HOLDS
+        assert check_rees(WordSet.of([generate_wn(k)]), separation_identity(3)).status == HOLDS
+
+
 @pytest.mark.stretch
 def test_check_rees_separation_row_three_raised_budget():
     raised = 2 * 10**8
@@ -301,6 +320,43 @@ def test_check_rees_witness_revalidates():
     out = check_rees(word_set, ident)
     q = rees_quotient(word_set)
     assert evaluate(ident.lhs, out.witness, q) != evaluate(ident.rhs, out.witness, q)
+
+
+def reference_rees(word_set, ident):
+    """check_rees rebuilt without the erasure prune: the alphabet rule,
+    then every match of either side through scan_matches, keeping the
+    least mismatch with each image compared shortlex in variable order."""
+    alf_l, alf_r = ident.lhs.alphabet, ident.rhs.alphabet
+    if alf_l != alf_r:
+        lone = min(alf_l ^ alf_r)
+        return FAILS, Substitution.of({v: ZERO if v == lone else EPSILON for v in alf_l | alf_r})
+    best = None
+    for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
+        for w in word_set:
+
+            def on_match(sub, u=u, v=v):
+                nonlocal best
+                if sub.apply(u) != sub.apply(v):
+                    key = tuple(image.shortlex_key() for _, image in sub.assignment)
+                    if best is None or key < best[0]:
+                        best = (key, sub)
+
+            scan_matches(u, w, on_match)
+    return (HOLDS, None) if best is None else (FAILS, best[1])
+
+
+small_word_sets = st.lists(st.text("ab", min_size=1, max_size=6), max_size=3).map(
+    lambda texts: ws(*texts)
+)
+small_sides = st.text("xyz", min_size=1, max_size=5).map(parse_word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_word_sets, small_sides, small_sides)
+def test_check_rees_matches_unpruned_reference(word_set, lhs, rhs):
+    ident = Identity(lhs, rhs)
+    out = check_rees(word_set, ident)
+    assert (out.status, out.witness) == reference_rees(word_set, ident)
 
 
 def test_check_rees_equal_sides():
