@@ -38,14 +38,14 @@ def _print_json(payload) -> None:
 def _cmd_rees(args) -> int:
     q = rees_quotient(parse_word_set(args.wordset))
     if args.json:
-        _print_json(q.monoid.to_json_dict())
+        _print_json(q.to_json_dict())
         return 0
     print(f"order {q.order}")
-    labels = [q.monoid.label_text(i) for i in range(q.order)]
+    labels = [q.label_text(i) for i in range(q.order)]
     width = max(len(l) for l in labels)
     header = " " * (width + 2) + " ".join(l.rjust(width) for l in labels)
     print(header)
-    for i, row in enumerate(q.monoid.table):
+    for i, row in enumerate(q.table.tolist()):
         cells = " ".join(labels[v].rjust(width) for v in row)
         print(f"{labels[i].rjust(width)} | {cells}")
     return 0
@@ -68,13 +68,15 @@ def _cmd_wn(args) -> int:
     return 0
 
 
-def _resolve_monoid(spec: str):
+def _resolve_monoid(spec: str, method: str):
+    """The word set (rees: specs only) and the monoid; the table is not
+    built when only the rees method will run, as it never reads it."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ParseError(f"monoid spec needs a kind prefix, got {spec!r}", 0)
     if kind == "rees":
         word_set = parse_word_set(rest)
-        return word_set, rees_quotient(word_set)
+        return word_set, (None if method == "rees" else rees_quotient(word_set))
     if kind == "preset":
         return None, from_presentation(preset(rest))
     raise ParseError(f"unknown monoid kind {kind!r} (use rees: or preset:)", 0)
@@ -92,9 +94,9 @@ def _outcome_dict(outcome, monoid) -> dict:
 
 
 def _cmd_check(args) -> int:
-    word_set, monoid = _resolve_monoid(args.monoid)
-    ident = parse_identity(args.identity)
     method = args.method
+    word_set, monoid = _resolve_monoid(args.monoid, method)
+    ident = parse_identity(args.identity)
     if method in ("rees", "both") and word_set is None:
         print("error: the rees method needs a rees: monoid", file=sys.stderr)
         return 2

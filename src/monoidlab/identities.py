@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadZeroError, BudgetExceededError, ParseError, UnknownBasisError
-from .monoid import ZERO
-from .rees import ReesQuotient
+from .monoid import ZERO, FiniteMonoid
 from .words import (
     EPSILON,
     INFINITY,
@@ -130,38 +129,36 @@ class CheckOutcome:
         return self.status == HOLDS
 
 
-def evaluate(w: Word, subst: Substitution, monoid) -> int:
+def evaluate(w: Word, subst: Substitution, monoid: FiniteMonoid) -> int:
     """Left-to-right product of the images of ``w`` in the monoid.
 
-    ``monoid`` may be a :class:`FiniteMonoid` or a :class:`ReesQuotient`;
-    word values are resolved through the quotient's factor lookup,
-    element indices are used directly, and :data:`ZERO` forces the zero
-    element.  Exits early once the running product hits zero.
+    Word values need a Rees quotient and are resolved by label, a word
+    that is not a factor being zero; element indices are used directly,
+    and :data:`ZERO` forces the zero element.  Exits early once the
+    running product hits zero.
     """
-    quotient = monoid if isinstance(monoid, ReesQuotient) else None
-    mon = quotient.monoid if quotient is not None else monoid
     mapping = subst.as_dict()
-    acc = mon.one
+    acc = monoid.one
     for letter in w.letters:
         if letter not in mapping:
             raise KeyError(f"substitution does not cover {letter}")
         value = mapping[letter]
         if value is ZERO:
-            if mon.zero is None:
+            if monoid.zero is None:
                 raise BadZeroError("zero assignment in a monoid without zero")
-            return mon.zero
+            return monoid.zero
         if isinstance(value, Word):
-            if quotient is None:
+            if monoid.word_set is None:
                 raise TypeError("word-valued assignments need a Rees quotient")
-            e = quotient.element_of(value)
+            e = monoid.element_of(value)
         elif isinstance(value, int):
-            if not (0 <= value < mon.order):
+            if not (0 <= value < monoid.order):
                 raise IndexError(f"element index {value} out of range")
             e = value
         else:
             raise TypeError(f"unsupported assignment value {value!r}")
-        acc = mon.mul(acc, e)
-        if mon.zero is not None and acc == mon.zero:
+        acc = monoid.mul(acc, e)
+        if monoid.zero is not None and acc == monoid.zero:
             return acc
     return acc
 
@@ -173,23 +170,22 @@ def _eval_chunk(table: np.ndarray, one: int, seq: list[int], coords, size: int) 
     return acc
 
 
-def check_table(monoid, ident: Identity, budget: int = DEFAULT_TABLE_BUDGET) -> CheckOutcome:
+def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TABLE_BUDGET) -> CheckOutcome:
     """Brute-force satisfaction over all element substitutions.
 
     Substitutions are enumerated odometer-style over the variables in
     letter order with the last variable moving fastest, so the first
     failing substitution found is the canonical least witness.
     """
-    mon = monoid.monoid if isinstance(monoid, ReesQuotient) else monoid
     variables = sorted(ident.lhs.alphabet | ident.rhs.alphabet)
     k = len(variables)
     if k == 0:
         return CheckOutcome(HOLDS, None, 1)
-    n = mon.order
+    n = monoid.order
     var_pos = {v: i for i, v in enumerate(variables)}
     lhs_seq = [var_pos[l] for l in ident.lhs.letters]
     rhs_seq = [var_pos[l] for l in ident.rhs.letters]
-    table = np.asarray(mon.table, dtype=np.int32)
+    table = monoid.table
     total = n**k
     dims = (n,) * k
     start = 0
@@ -204,8 +200,8 @@ def check_table(monoid, ident: Identity, budget: int = DEFAULT_TABLE_BUDGET) -> 
         flat = np.arange(start, end, dtype=np.int64)
         coords = np.unravel_index(flat, dims)
         size = end - start
-        lv = _eval_chunk(table, mon.one, lhs_seq, coords, size)
-        rv = _eval_chunk(table, mon.one, rhs_seq, coords, size)
+        lv = _eval_chunk(table, monoid.one, lhs_seq, coords, size)
+        rv = _eval_chunk(table, monoid.one, rhs_seq, coords, size)
         neq = lv != rv
         if neq.any():
             off = int(np.argmax(neq))

@@ -8,6 +8,7 @@ strings such as ``"0"`` for a reserved zero class.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +24,7 @@ from .errors import (
     NotStabilizedError,
     UnknownPresetError,
 )
-from .words import EPSILON, Letter, Word, parse_word
+from .words import EPSILON, Letter, Word, WordSet, parse_word
 
 
 class _ZeroMark:
@@ -45,19 +46,23 @@ ZERO = _ZeroMark()
 ZERO_LABEL = "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteMonoid:
     """An immutable multiplication table with a distinguished identity.
 
-    ``elements`` holds the labels in canonical order, ``table[s][t]`` the
-    index of the product.  ``zero`` is the index of an absorbing element
-    when one is declared.
+    ``elements`` holds the labels in canonical order, ``table[s, t]`` the
+    index of the product, as a read-only int32 array.  ``zero`` is the
+    index of an absorbing element when one is declared.  ``word_set`` is
+    set when the monoid is the Rees quotient ``M(W)`` of that word set;
+    its labels are then the factor words, and every other word is zero.
+    Build instances with :func:`from_table`, which validates the table.
     """
 
     elements: tuple[object, ...]
     one: int
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     zero: int | None = None
+    word_set: WordSet | None = None
 
     @property
     def order(self) -> int:
@@ -67,7 +72,7 @@ class FiniteMonoid:
         n = len(self.elements)
         if not (0 <= s < n and 0 <= t < n):
             raise IndexError(f"element index out of range: ({s}, {t}) with order {n}")
-        return self.table[s][t]
+        return self.table.item(s, t)
 
     def label(self, i: int):
         return self.elements[i]
@@ -82,12 +87,21 @@ class FiniteMonoid:
     def index_of_label(self, label) -> int:
         return self._label_index[str(label)]
 
+    def element_of(self, label) -> int | None:
+        """Index of the element labeled ``label``, else the zero (``None``
+        without one).  In a Rees quotient a word that is not a factor is zero."""
+        return self._label_index.get(str(label), self.zero)
+
+    def __repr__(self) -> str:
+        source = "" if self.word_set is None else f"{{{self.word_set}}}, "
+        return f"FiniteMonoid({source}order={self.order})"
+
     def to_json_dict(self) -> dict:
         return {
             "elements": [str(lab) for lab in self.elements],
             "one": self.one,
             "zero": self.zero,
-            "table": [list(row) for row in self.table],
+            "table": self.table.tolist(),
         }
 
     @staticmethod
@@ -98,61 +112,122 @@ class FiniteMonoid:
                 labels.append(parse_word(text))
             except Exception:
                 labels.append(text)
-        return from_table(
-            tuple(labels),
-            data["one"],
-            [tuple(row) for row in data["table"]],
-            zero=data.get("zero"),
-        )
+        return from_table(tuple(labels), data["one"], data["table"], zero=data.get("zero"))
 
 
-def _associativity_witness(table: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
-    T = np.asarray(table, dtype=np.int32)
+def _int_table(table, n: int) -> np.ndarray:
+    """``table`` as a fresh read-only n x n int32 array.
+
+    Entries must be integers (``bool`` is not) in ``range(n)``; the range
+    is checked before narrowing, so large values cannot wrap into range.
+    Sequences go through an object array, which holds the caller's own
+    int objects, so the checks create no per-entry ints.
+    """
+    shape_error = ValueError(f"table must be {n}x{n}")
+    if isinstance(table, np.ndarray) and table.dtype != object:
+        arr = table
+    else:
+        try:
+            arr = np.array(table, dtype=object)
+        except ValueError:
+            raise shape_error from None
+    if arr.shape != (n, n):
+        raise shape_error
+    if arr.dtype == object:
+        for v in arr.flat:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"table entry {v!r} is not an integer")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise ValueError(f"table entry {arr.flat[int(np.argmax(bad))]} out of range")
+    out = arr.astype(np.int32, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def _generators(T: np.ndarray, one: int) -> list[int]:
+    """A generating set, greedy in index order.
+
+    Starting from the identity, each element not yet reached becomes a
+    generator, and the reached set is closed under right multiplication
+    by the generators.  Every element is then a left-bracketed product of
+    generators.  For a Rees quotient these are exactly the letters.
+    """
     n = T.shape[0]
-    for s in range(n):
-        left = T[T[s], :]      # left[t, u] = T[T[s, t], u]
-        right = T[s][T]        # right[t, u] = T[s, T[t, u]]
-        bad = left != right
+    reached = np.zeros(n, dtype=bool)
+    reached[one] = True
+    gens: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        products = T[reached, g]
+        while True:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[products] = True
+            fresh &= ~reached
+            if not fresh.any():
+                break
+            reached |= fresh
+            products = T[np.ix_(fresh, gens)].ravel()
+    return gens
+
+
+def _light_witness(T: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
+    """Light's associativity test over the generators: a triple (x, a, y)
+    with (xa)y != x(ay), or None when the table is associative.
+
+    The elements a that pass, (xa)y = x(ay) for all x and y, contain the
+    identity and are closed under products: for passing a and b,
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So when every
+    generator passes, every left-bracketed product of generators, which is
+    every element, passes too.  (Clifford and Preston, vol. 1, section 1.2.)
+    """
+    for a in gens:
+        bad = T[T[:, a]] != T[:, T[a]]   # [x, y]: T[T[x, a], y] vs T[x, T[a, y]]
         if bad.any():
-            t, u = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return (s, int(t), int(u))
+            x, y = divmod(int(np.argmax(bad)), T.shape[0])
+            return (x, a, y)
     return None
 
 
 def from_table(elements, one: int, table, zero: int | None = None) -> FiniteMonoid:
     """Validate and freeze a multiplication table.
 
-    Checks for duplicate labels, a working identity, a working zero when
-    declared, and full associativity (with a witness triple on failure).
+    Checks the shape and that the entries are integers in range, then
+    duplicate labels, a working identity and a working zero when declared.
+    Associativity is Light's test over a generating set found greedily
+    from the table (see :func:`_generators` and :func:`_light_witness`),
+    which is exact for any table: a failure names a genuine violating
+    triple, and a pass proves the whole table associative.  It costs one
+    n x n comparison per generator, so for an arbitrary table it falls
+    back toward the full O(n^3) check.
     """
     elems = tuple(elements)
     n = len(elems)
     if n == 0:
         raise ValueError("a monoid needs at least one element")
-    rows = tuple(tuple(row) for row in table)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"table must be {n}x{n}")
-    for r in rows:
-        for v in r:
-            if not (0 <= v < n):
-                raise ValueError(f"table entry {v} out of range")
+    T = _int_table(table, n)
     if len({str(lab) for lab in elems}) != n:
         raise DuplicateLabelsError("element labels must be pairwise distinct")
     if not (0 <= one < n):
         raise BadIdentityError(f"identity index {one} out of range")
-    for s in range(n):
-        if rows[one][s] != s or rows[s][one] != s:
-            raise BadIdentityError(f"element {one} is not an identity (fails at {s})")
+    every = np.arange(n)
+    bad = (T[one] != every) | (T[:, one] != every)
+    if bad.any():
+        raise BadIdentityError(f"element {one} is not an identity (fails at {int(np.argmax(bad))})")
     if zero is not None:
         if not (0 <= zero < n):
             raise BadZeroError(f"zero index {zero} out of range")
-        for s in range(n):
-            if rows[zero][s] != zero or rows[s][zero] != zero:
-                raise BadZeroError(f"element {zero} is not absorbing (fails at {s})")
-    witness = _associativity_witness(rows)
+        bad = (T[zero] != zero) | (T[:, zero] != zero)
+        if bad.any():
+            raise BadZeroError(f"element {zero} is not absorbing (fails at {int(np.argmax(bad))})")
+    witness = _light_witness(T, _generators(T, one))
     if witness is not None:
         raise NonAssociativeError(witness)
-    return FiniteMonoid(elems, one, rows, zero)
+    return FiniteMonoid(elems, one, T, zero)
 
 
 def multiply(m: FiniteMonoid, s: int, t: int) -> int:
@@ -341,7 +416,7 @@ def from_presentation(pres: Presentation, max_len: int = 6) -> FiniteMonoid:
     big = _closure(pres, max_len + 1)
     same = (
         [str(x) for x in small.elements] == [str(x) for x in big.elements]
-        and small.table == big.table
+        and np.array_equal(small.table, big.table)
         and small.zero == big.zero
     )
     if not same:

@@ -56,6 +56,23 @@ def test_check_both_methods_agree(capsys):
     assert "table: HOLDS" in out and "rees: HOLDS" in out
 
 
+def test_check_rees_method_builds_no_table(capsys, monkeypatch):
+    def refuse(word_set):
+        raise AssertionError("the rees method never reads the table")
+
+    monkeypatch.setattr("monoidlab.cli.rees_quotient", refuse)
+    code, out, _ = run(
+        capsys, "check", "--monoid", "rees:wn:4", "--method", "rees", "--identity", "x^3=x^4"
+    )
+    assert code == 0
+    assert out.strip() == "HOLDS"
+    code, out, _ = run(
+        capsys, "check", "--monoid", "rees:aabb", "--method", "rees", "--identity", "xy=yx"
+    )
+    assert code == 1
+    assert out.strip() == 'FAILS  witness {"x": "a", "y": "b"}'
+
+
 def test_check_preset(capsys):
     code, out, _ = run(
         capsys, "check", "--monoid", "preset:M_SCRIPT", "--identity", "x^3=x^4"

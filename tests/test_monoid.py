@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidlab import (
     EPSILON,
@@ -17,12 +22,17 @@ from monoidlab import (
     NotStabilizedError,
     Presentation,
     UnknownPresetError,
+    Word,
+    WordSet,
     from_presentation,
     from_table,
     multiply,
     parse_word,
+    parse_word_set,
     preset,
+    rees_quotient,
 )
+from monoidlab.monoid import _generators
 
 TRIVIAL = from_table(("1",), 0, [[0]])
 
@@ -57,6 +67,86 @@ def test_non_associative_witness():
     assert got[0] != got[1]
 
 
+def _violation(table) -> tuple[int, int, int] | None:
+    """First (s, t, u) with (st)u != s(tu), by the plain triple loop."""
+    n = len(table)
+    for s, t, u in itertools.product(range(n), repeat=3):
+        if table[table[s][t]][u] != table[s][table[t][u]]:
+            return (s, t, u)
+    return None
+
+
+def _is_violation(table, triple) -> bool:
+    s, t, u = triple
+    return table[table[s][t]][u] != table[s][table[t][u]]
+
+
+@st.composite
+def tables_with_identity(draw):
+    n = draw(st.integers(2, 5))
+    body = draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+    rows = [list(range(n))]
+    for i in range(1, n):
+        rows.append([i] + body[(i - 1) * (n - 1) : i * (n - 1)])
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(tables_with_identity())
+def test_light_test_agrees_with_triple_loop(table):
+    labels = tuple(str(i) for i in range(len(table)))
+    try:
+        from_table(labels, 0, table)
+    except NonAssociativeError as exc:
+        assert _is_violation(table, exc.triple)
+    else:
+        assert _violation(table) is None
+
+
+def test_generating_set_is_the_letters():
+    # Light's test costs one n x n comparison per generator
+    for spec in ("aabb", "wn:1,2", "wn:3"):
+        q = rees_quotient(parse_word_set(spec))
+        letters = sorted({l for w in q.word_set for l in w.letters})
+        assert [q.label(i) for i in _generators(q.table, q.one)] == [Word((l,)) for l in letters]
+    for name in ("M_SCRIPT", "A21", "B21"):
+        m = from_presentation(preset(name))
+        assert [m.label_text(i) for i in _generators(m.table, m.one)] == [
+            str(g) for g in preset(name).generators
+        ]
+
+
+def test_every_single_entry_change_of_aabb():
+    # M(aabb): identity 0, zero 9.  Each changed entry must be rejected
+    # exactly when the identity, the zero or associativity breaks, with the
+    # error of the first failing check in that order.
+    base = rees_quotient(WordSet.of([parse_word("aabb")])).table.tolist()
+    n, zero = len(base), 9
+    labels = tuple(str(i) for i in range(n))
+    rejected = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v == base[i][j]:
+                continue
+            table = [row[:] for row in base]
+            table[i][j] = v
+            if any(table[0][s] != s or table[s][0] != s for s in range(n)):
+                want = BadIdentityError
+            elif any(table[zero][s] != zero or table[s][zero] != zero for s in range(n)):
+                want = BadZeroError
+            elif _violation(table) is not None:
+                want = NonAssociativeError
+            else:
+                from_table(labels, 0, table, zero=zero)
+                continue
+            with pytest.raises(want) as info:
+                from_table(labels, 0, table, zero=zero)
+            if want is NonAssociativeError:
+                assert _is_violation(table, info.value.triple)
+            rejected += 1
+    assert rejected > 0
+
+
 def test_bad_identity_and_zero():
     with pytest.raises(BadIdentityError):
         from_table(("1", "a"), 0, [[1, 1], [1, 1]])
@@ -74,6 +164,36 @@ def test_table_shape_errors():
         from_table(("1", "a"), 0, [[0, 1]])
     with pytest.raises(ValueError):
         from_table(("1", "a"), 0, [[0, 5], [1, 1]])
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, [[0, 1], [1]])  # ragged rows
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, [[0, 1], [1, 1.5]])
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, [[0, 1], [1, 1.0]])
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, [[0, True], [True, True]])
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, [[0, 1], [1, 2**40]])  # would wrap to 0 in int32
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, [[0, 1], [1, 2**70]])
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, np.array([[0, 1], [1, 1]], dtype=float))
+    with pytest.raises(ValueError):
+        from_table(("1", "a"), 0, np.array([[0, 1], [1, 1 + 2**32]]))
+    with pytest.raises(ValueError):
+        FiniteMonoid.from_json_dict(
+            {"elements": ["1", "a"], "one": 0, "zero": None, "table": [[0, 1], [1, 1.5]]}
+        )
+
+
+def test_table_is_a_read_only_int32_copy():
+    source = np.array([[0, 1], [1, 1]])
+    m = from_table(("1", "a"), 0, source)
+    source[1, 1] = 0
+    assert m.table.dtype == np.int32 and m.mul(1, 1) == 1
+    assert type(m.mul(1, 1)) is int
+    with pytest.raises(ValueError):
+        m.table[1, 1] = 0
 
 
 def test_preset_contents():
@@ -100,7 +220,7 @@ def test_presented_orders_and_representatives():
 def test_presented_default_bound_is_stable():
     small = from_presentation(preset("M_SCRIPT"))
     again = from_presentation(preset("M_SCRIPT"), 6)
-    assert small.table == again.table
+    assert np.array_equal(small.table, again.table)
 
 
 def test_presented_relations_hold_in_table():
@@ -181,5 +301,5 @@ def test_json_roundtrip():
     assert data["one"] == 0 and data["zero"] == 5
     assert data["elements"][0] == "1" and data["elements"][-1] == "0"
     back = FiniteMonoid.from_json_dict(data)
-    assert back.table == m.table
+    assert np.array_equal(back.table, m.table)
     assert [str(x) for x in back.elements] == [str(x) for x in m.elements]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidlab import (
     EPSILON,
@@ -58,9 +60,9 @@ def test_order_formula_against_independent_count():
 
 def test_element_layout():
     q = rees_quotient(ws("aabb"))
-    assert q.monoid.label(0) == EPSILON
-    assert q.monoid.label_text(q.order - 1) == "0"
-    labels = [q.monoid.label_text(i) for i in range(q.order)]
+    assert q.label(0) == EPSILON
+    assert q.label_text(q.order - 1) == "0"
+    labels = [q.label_text(i) for i in range(q.order)]
     assert labels == ["1", "a", "b", "aa", "ab", "bb", "aab", "abb", "aabb", "0"]
 
 
@@ -81,12 +83,32 @@ def test_multiplication_examples():
 
 def test_table_is_associative_by_independent_scan():
     q = rees_quotient(ws("aabb"))
-    t = q.monoid.table
+    t = q.table
     n = q.order
     for s in range(n):
         for u in range(n):
             for v in range(n):
                 assert t[t[s][u]][v] == t[s][t[u][v]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("abc", min_size=1, max_size=7), max_size=3))
+def test_table_entries_are_factor_concatenations(texts):
+    # no trie: every entry is "label i + label j if that is a factor, else zero"
+    q = rees_quotient(ws(*texts))
+    found = {t[i:j] for t in texts for i in range(len(t)) for j in range(i + 1, len(t) + 1)}
+    text = ["" if i == q.one else q.label_text(i) for i in range(q.order)]
+    assert q.zero == q.order - 1 and q.label_text(q.zero) == "0"
+    assert set(text[: q.zero]) == found | {""}
+    index = {t: i for i, t in enumerate(text[: q.zero])}
+    table = q.table.tolist()
+    for i in range(q.order):
+        for j in range(q.order):
+            if q.zero in (i, j):
+                want = q.zero
+            else:
+                want = index.get(text[i] + text[j], q.zero)
+            assert table[i][j] == want
 
 
 def test_quotient_map_chain():
