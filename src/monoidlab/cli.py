@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 on success / HOLDS / all claims passing, 1 on FAILS or any
-failing claim, 2 on usage or parse errors, 3 on budget exhaustion.
+failing claim, 2 on usage, parse or file errors, 3 on budget exhaustion,
+4 on an internal error (an unexpected exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -237,9 +238,12 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -37,11 +37,7 @@ class DuplicateLabelsError(WorkbenchError):
 
 
 class NotStabilizedError(WorkbenchError):
-    """Bounded congruence closure did not stabilize at the given bound."""
-
-    def __init__(self, message: str, orders: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.orders = orders
+    """The bounded congruence closure at the given bound is not certified."""
 
 
 class EmptyGeneratorsError(WorkbenchError):

@@ -173,6 +173,24 @@ def test_verify_subcommand_writes_report(capsys, tmp_path):
     assert data["config"]["max_n"] == 1
 
 
+def test_unwritable_out_path_exits_two(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify-paper", "--max-n", "1", "--out", str(out_file))
+    assert code == 2
+    assert "summary:" in out
+    assert err.startswith("error: ") and "report.json" in err
+
+
+def test_unexpected_exception_exits_four(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("monoidlab.cli._cmd_wn", crash)
+    code, _, err = run(capsys, "wn", "1")
+    assert code == 4
+    assert err.strip() == "internal error: RuntimeError: boom"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -32,7 +32,8 @@ from monoidlab import (
     preset,
     rees_quotient,
 )
-from monoidlab.monoid import _generators
+import monoidlab.monoid as monoid_module
+from monoidlab.monoid import ZERO_LABEL, _generators
 
 TRIVIAL = from_table(("1",), 0, [[0]])
 
@@ -263,6 +264,59 @@ def test_single_relation_collapse_to_identity():
     assert from_presentation(p, 4).order == 1
 
 
+def test_one_equals_zero_collapses_to_trivial():
+    # aa = 1 and aaaa = 0 give 1 = aaaa = 0; so do b = 1 and bb = 0
+    a, b = Letter("a"), Letter("b")
+    cases = [
+        ((a,), (("aa", "1"), ("aaaa", None)), 5),
+        ((a, b), (("bb", None), ("b", "1"), ("a", "1")), 3),
+    ]
+    for gens, rels, bound in cases:
+        relations = tuple(
+            (parse_word(lhs), ZERO if rhs is None else parse_word(rhs)) for lhs, rhs in rels
+        )
+        p = Presentation(gens, relations, adjoin_identity=False, has_zero=True)
+        m = from_presentation(p, bound)
+        assert m.order == 1
+        assert m.one == m.zero == 0
+        assert m.label_text(0) == "1"
+
+
+def test_certificate_rejects_a_failing_relation():
+    # B21's table under A21's relations: bb = 0 in B21, but A21 has bb = b
+    a21, b21 = preset("A21"), from_presentation(preset("B21"))
+    assert [str(x) for x in b21.elements] == [
+        str(x) for x in from_presentation(a21).elements
+    ]
+    with pytest.raises(NotStabilizedError, match="relation bb = b fails"):
+        monoid_module._certify(a21, b21, {g: b21.index_of_label(str(g)) for g in a21.generators})
+
+
+def test_certificate_rejects_a_representative_off_its_element():
+    # <a | aa = 0> against {1, a, aa, 0} with every product of non-identity
+    # elements zero: associative, the relation holds, but aa evaluates to 0
+    a = Letter("a")
+    p = Presentation((a,), ((parse_word("aa"), ZERO),), has_zero=True)
+    table = [[0, 1, 2, 3], [1, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]
+    m = from_table((EPSILON, Word((a,)), parse_word("aa"), ZERO_LABEL), 0, table, zero=3)
+    with pytest.raises(NotStabilizedError, match="aa evaluates to 0"):
+        monoid_module._certify(p, m, {a: 1})
+    assert from_presentation(p).order == 3
+
+
+def test_from_presentation_builds_one_closure(monkeypatch):
+    bounds = []
+    closure = monoid_module._closure
+
+    def counting(pres, bound):
+        bounds.append(bound)
+        return closure(pres, bound)
+
+    monkeypatch.setattr(monoid_module, "_closure", counting)
+    from_presentation(preset("M_SCRIPT"), 5)
+    assert bounds == [5]
+
+
 def test_free_monoid_does_not_stabilize():
     # with no relations every product of long representatives leaves the bound
     p = Presentation(generators=(Letter("a"),), relations=())
@@ -278,6 +332,18 @@ def test_bicyclic_presentation_does_not_stabilize():
     )
     with pytest.raises(NotStabilizedError):
         from_presentation(p, 4)
+
+
+def test_truncated_non_associative_closure_is_not_certified():
+    # a^4 = a = a^3 makes aa = a, but at bound 4 no relation reaches aa,
+    # so (a*a)*aa = a while a*(a*aa) = aa
+    p = Presentation(
+        generators=(Letter("a"),),
+        relations=((parse_word("aaaa"), parse_word("a")), (parse_word("aaaa"), parse_word("aaa"))),
+    )
+    with pytest.raises(NotStabilizedError, match="not associative"):
+        from_presentation(p, 4)
+    assert list(from_presentation(p, 5).elements) == [EPSILON, parse_word("a")]
 
 
 def test_empty_generators_rejected():
