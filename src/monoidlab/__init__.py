@@ -69,6 +69,7 @@ from .words import (
     generate_wn,
     is_square_free,
     length2_profile,
+    letter_positions,
     min_nonlinear_simplefree_factor,
     occurrence_positions,
     parse_word,

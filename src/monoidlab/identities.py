@@ -23,11 +23,10 @@ from .words import (
     Letter,
     Word,
     WordSet,
-    alphabet_profile,
     delete_letter,
     depth_map,
     generate_wn,
-    occurrence_positions,
+    letter_positions,
     parse_word,
 )
 
@@ -572,29 +571,22 @@ def check_star_property(wn: Word, wk: Word, subst: Substitution) -> bool:
     ]
     if not starts:
         raise ValueError("substitution does not send the pattern into the target")
-    prof_n = alphabet_profile(wn)
-    prof_k = alphabet_profile(wk)
     mapping = subst.as_dict()
-    lengths = [len(mapping[c]) for c in wn.letters]
-    offsets = [0]
-    for ln in lengths:
-        offsets.append(offsets[-1] + ln)
-    occ_k = {d: occurrence_positions(wk, d) for d in wk.alphabet}
-    for start in starts:
-        for c in prof_n.multiple:
-            img_c = mapping[c]
-            if len(img_c) == 0:
-                continue
-            if len(img_c) != 1:
-                return False
-            d = img_c.letters[0]
-            if d not in prof_k.multiple:
-                return False
-            occ1, occ2 = occurrence_positions(wn, c)[:2]
-            pos1 = start + offsets[occ1 - 1] + 1
-            pos2 = start + offsets[occ2 - 1] + 1
-            if (pos1, pos2) != (occ_k[d][0], occ_k[d][1]):
-                return False
+    offsets = list(itertools.accumulate((len(mapping[c]) for c in wn.letters), initial=0))
+    pos_k = letter_positions(wk)
+    for c, occ in letter_positions(wn).items():
+        img_c = mapping[c]
+        if len(occ) < 2 or len(img_c) == 0:
+            continue
+        if len(img_c) != 1:
+            return False
+        # d sits at two positions of the placed image, so it is multiple
+        # in the target
+        d = img_c.letters[0]
+        first_two = pos_k[d][:2]
+        o1, o2 = offsets[occ[0]], offsets[occ[1]]
+        if any(first_two != [s + o1, s + o2] for s in starts):
+            return False
     return True
 
 
@@ -607,31 +599,23 @@ def check_no_div_instance(w: Word, subst: Substitution, a: Word, b: Word) -> boo
     whose depth in u is smaller than the depth of x in w.
     """
     mapping = subst.as_dict()
-    for letter in w.alphabet:
+    pos_w = letter_positions(w)
+    for letter in pos_w:
         if letter not in mapping:
             raise KeyError(f"substitution does not cover {letter}")
     images = [mapping[c] for c in w.letters]
     u = a + Word(tuple(itertools.chain.from_iterable(img.letters for img in images))) + b
     dw = depth_map(w)
     du = depth_map(u)
-    first_u: dict[Letter, int] = {}
-    for i, l in enumerate(u.letters):
-        first_u.setdefault(l, i)
-    offsets = [len(a)]
-    for img in images:
-        offsets.append(offsets[-1] + len(img))
-    first_w: dict[Letter, int] = {}
-    for i, l in enumerate(w.letters):
-        first_w.setdefault(l, i)
-    for x in w.alphabet:
+    pos_u = letter_positions(u)
+    offsets = list(itertools.accumulate(map(len, images), initial=len(a)))
+    for x, occ in pos_w.items():
         dx = dw[x]
         if dx == 0 or dx == INFINITY:
             continue
-        p = first_w[x]
-        seg_start = offsets[p]
-        seg_len = len(images[p])
-        for q in range(seg_start, seg_start + seg_len):
+        p = occ[0]
+        for q in range(offsets[p], offsets[p + 1]):
             d = u.letters[q]
-            if first_u[d] == q and du[d] < dx:
+            if pos_u[d][0] == q and du[d] < dx:
                 return False
     return True

@@ -308,10 +308,6 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _tuple_shortlex(t: tuple[Letter, ...]) -> tuple:
-    return (len(t), tuple(l.sort_key() for l in t))
-
-
 def _occurrences(haystack: tuple, needle: tuple) -> list[int]:
     k = len(needle)
     return [i for i in range(len(haystack) - k + 1) if haystack[i : i + k] == needle]
@@ -358,12 +354,12 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
     for root, members in groups.items():
         if zero_root is not None and root == zero_root:
             continue
-        rep = min(members, key=_tuple_shortlex)
+        rep = min(members, key=lambda t: Word(t).shortlex_key())
         if not pres.adjoin_identity and rep == ():
             identity_root = root
             continue
         word_classes.append((rep, root))
-    word_classes.sort(key=lambda pair: _tuple_shortlex(pair[0]))
+    word_classes.sort(key=lambda pair: Word(pair[0]).shortlex_key())
 
     # element layout: identity first, word classes by shortlex rep, zero last
     labels: list[object] = [EPSILON]

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
@@ -36,11 +37,11 @@ from .words import (
     Letter,
     Word,
     WordSet,
-    alphabet_profile,
     depth_map,
     generate_wn,
     is_square_free,
     length2_profile,
+    letter_positions,
     min_nonlinear_simplefree_factor,
     parse_word,
 )
@@ -237,15 +238,12 @@ def _claim_depth_family(cfg: VerifyConfig):
 def _claim_word_structure(cfg: VerifyConfig):
     for n in range(1, cfg.max_n + 2):
         w = generate_wn(n)
-        prof = alphabet_profile(w)
+        pos = letter_positions(w)
         checks = {
             "length": (len(w), 2 * (n + 1) ** 2),
-            "alphabet": (len(prof.alf), n * (n + 3) + 1),
+            "alphabet": (len(pos), n * (n + 3) + 1),
             "square_free": (is_square_free(w), True),
-            "max_occurrences": (
-                max(len([1 for l in w.letters if l == x]) for x in prof.alf),
-                2,
-            ),
+            "max_occurrences": (max(map(len, pos.values())), 2),
             "min_nonlinear_simplefree": (min_nonlinear_simplefree_factor(w), 2 * n + 2),
         }
         l2 = length2_profile(w)
@@ -449,9 +447,10 @@ def _claim_cross_check(cfg: VerifyConfig):
     return PASS, None
 
 
-def _canonical_words(length: int):
-    """Words of the given length, one per letter-renaming class: letters
-    first appear in the order a, b, c, ..."""
+def _canonical_shapes(length: int):
+    """Restricted-growth tuples of the given length in lexicographic order,
+    one per letter-renaming class of words: value v spells the letter
+    ``chr(ord("a") + v)``, and letters first appear in the order a, b, c, ..."""
 
     def extend(prefix: list[int], used: int):
         if len(prefix) == length:
@@ -462,31 +461,23 @@ def _canonical_words(length: int):
             yield from extend(prefix, max(used, v + 1))
             prefix.pop()
 
-    for shape in extend([], 0):
-        yield Word(tuple(Letter(chr(ord("a") + v)) for v in shape))
+    return extend([], 0)
 
 
 def enumerate_small_rees(max_len: int = 8, max_order: int = 10) -> list[tuple[Word, int]]:
     """Canonical words with two letters each repeated whose quotient has
-    order at most ``max_order``; orders come from the factor count."""
+    order at most ``max_order``, in shortlex order; orders come from the
+    factor count."""
     results = []
     for length in range(1, max_len + 1):
-        for w in _canonical_words(length):
-            counts: dict[Letter, int] = {}
-            for l in w.letters:
-                counts[l] = counts.get(l, 0) + 1
-            repeated = [l for l, c in counts.items() if c >= 2]
-            if len(repeated) < 2:
+        for shape in _canonical_shapes(length):
+            if sum(c >= 2 for c in Counter(shape).values()) < 2:
                 continue
-            distinct = set()
-            ls = w.letters
-            for i in range(length):
-                for j in range(i + 1, length + 1):
-                    distinct.add(ls[i:j])
+            distinct = {shape[i:j] for i in range(length) for j in range(i + 1, length + 1)}
             order = len(distinct) + 2
             if order <= max_order:
-                results.append((w, order))
-    return sorted(results, key=lambda pair: pair[0].shortlex_key())
+                results.append((Word(tuple(Letter(chr(ord("a") + v)) for v in shape)), order))
+    return results
 
 
 def _claim_enumeration(cfg: VerifyConfig):

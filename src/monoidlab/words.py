@@ -82,10 +82,6 @@ class Word:
 
     letters: tuple[Letter, ...] = ()
 
-    @classmethod
-    def of(cls, letters) -> "Word":
-        return cls(tuple(letters))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -201,6 +197,15 @@ def occurrence_positions(w: Word, x: Letter) -> list[int]:
     return [i + 1 for i, l in enumerate(w.letters) if l == x]
 
 
+def letter_positions(w: Word) -> dict[Letter, list[int]]:
+    """Strictly increasing 0-based positions of every letter of ``w``,
+    found in one pass; keys are in order of first occurrence."""
+    positions: dict[Letter, list[int]] = {}
+    for i, l in enumerate(w.letters):
+        positions.setdefault(l, []).append(i)
+    return positions
+
+
 def factors(w: Word) -> list[Word]:
     """All contiguous factors of ``w`` including the empty word, shortlex sorted."""
     seen = {()}
@@ -222,24 +227,17 @@ def depth_map(w: Word) -> dict[Letter, int | float]:
     Computed as a round-based fixpoint; each round only consults the
     letters assigned in the previous round, so the result is minimal.
     """
-    prof = alphabet_profile(w)
-    first: dict[Letter, int] = {}
-    second: dict[Letter, int] = {}
-    for i, l in enumerate(w.letters):
-        if l not in first:
-            first[l] = i
-        elif l not in second:
-            second[l] = i
-    depths: dict[Letter, int | float] = {l: 0 for l in prof.simple}
-    unassigned = set(prof.multiple)
-    frontier = set(prof.simple)
+    pos = letter_positions(w)
+    depths: dict[Letter, int | float] = {l: 0 for l, p in pos.items() if len(p) == 1}
+    unassigned = {l for l, p in pos.items() if len(p) > 1}
+    frontier = set(depths)
     k = 0
     while unassigned and frontier:
         k += 1
         newly = set()
         for x in unassigned:
-            lo, hi = first[x], second[x]
-            if any(lo < first[d] < hi for d in frontier):
+            lo, hi = pos[x][:2]
+            if any(lo < pos[d][0] < hi for d in frontier):
                 newly.add(x)
         for x in newly:
             depths[x] = k
@@ -307,16 +305,12 @@ def length2_profile(w: Word) -> Length2Profile:
         raise ValueError("length2_profile needs a word of length at least 2")
     pair_counts = Counter(ls[i : i + 2] for i in range(n - 1))
     all_unique = all(c == 1 for c in pair_counts.values())
-    first: dict[Letter, int] = {}
-    last: dict[Letter, int] = {}
-    for i, l in enumerate(ls):
-        first.setdefault(l, i)
-        last[l] = i
+    pos = letter_positions(w)
     all_first_last = True
     for p in range(n - 1):
-        c1, c2 = ls[p], ls[p + 1]
-        forward = first[c1] == p and last[c2] == p + 1
-        backward = last[c1] == p and first[c2] == p + 1
+        o1, o2 = pos[ls[p]], pos[ls[p + 1]]
+        forward = o1[0] == p and o2[-1] == p + 1
+        backward = o1[-1] == p and o2[0] == p + 1
         if not (forward or backward):
             all_first_last = False
             break

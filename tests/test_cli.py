@@ -117,6 +117,9 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "check", "--monoid", "rees:aabb", "--identity", "xx")
     assert code == 2
+    # a ValueError from the library exits 2 as well
+    code, _, err = run(capsys, "wn", "0")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_unknown_preset_exit_code(capsys):

@@ -35,6 +35,7 @@ from monoidlab import (
     from_table,
     generate_wn,
     match_pattern,
+    occurrence_positions,
     parse_identity,
     parse_word,
     preset,
@@ -444,6 +445,48 @@ def test_star_property_detects_misaligned_single_letter():
     assert check_star_property(pattern, target, aligned)
     fat = Substitution.of({Letter("x"): parse_word("ba"), Letter("y"): EPSILON})
     assert not check_star_property(pattern, parse_word("baba"), fat)
+    # bab sits at two places in babab: the second puts x on the 2nd and
+    # 3rd b, so the property fails although the first placement aligns
+    assert not check_star_property(pattern, parse_word("babab"), aligned)
+
+
+def reference_star(wn, wk, subst):
+    """The docstring of check_star_property, position by position."""
+    mapping = subst.as_dict()
+    image = subst.apply(wn)
+    starts = [
+        s
+        for s in range(len(wk) - len(image) + 1)
+        if wk.letters[s : s + len(image)] == image.letters
+    ]
+    if not starts:
+        raise ValueError("not a match")
+
+    def placed(s, i):
+        # 1-based target position of the image of the letter at 1-based position i
+        return s + sum(len(mapping[c]) for c in wn.letters[: i - 1]) + 1
+
+    for s in starts:
+        for c in wn.alphabet:
+            occ = occurrence_positions(wn, c)
+            if len(occ) < 2 or len(mapping[c]) == 0:
+                continue
+            if len(mapping[c]) != 1:
+                return False
+            occ_d = occurrence_positions(wk, mapping[c].letters[0])
+            if len(occ_d) < 2:
+                return False
+            if [placed(s, occ[0]), placed(s, occ[1])] != occ_d[:2]:
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("xyz", min_size=1, max_size=5), st.text("abc", min_size=1, max_size=7))
+def test_star_property_matches_reference(pattern_text, target_text):
+    pattern, target = parse_word(pattern_text), parse_word(target_text)
+    for sub in match_pattern(pattern, target):
+        assert check_star_property(pattern, target, sub) == reference_star(pattern, target, sub)
 
 
 def test_no_div_hand_instance():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from monoidlab import (
     EPSILON,
     INFINITY,
+    Length2Profile,
     Letter,
     ParseError,
     Word,
@@ -20,6 +21,7 @@ from monoidlab import (
     generate_wn,
     is_square_free,
     length2_profile,
+    letter_positions,
     min_nonlinear_simplefree_factor,
     occurrence_positions,
     parse_word,
@@ -131,6 +133,15 @@ def test_occurrence_positions():
     assert occurrence_positions(parse_word("abab"), L("a")) == [1, 3]
     assert occurrence_positions(parse_word("aabb"), L("b")) == [3, 4]
     assert occurrence_positions(generate_wn(1), Letter("x")) == [3, 6]
+    assert letter_positions(parse_word("abab")) == {L("a"): [0, 2], L("b"): [1, 3]}
+    assert list(letter_positions(parse_word("bab"))) == [L("b"), L("a")]
+    assert letter_positions(EPSILON) == {}
+    w1 = generate_wn(1)
+    assert letter_positions(w1)[Letter("x")] == [2, 5]
+    assert all(
+        [i + 1 for i in ps] == occurrence_positions(w1, x)
+        for x, ps in letter_positions(w1).items()
+    )
     assert occurrence_positions(parse_word("ab"), L("c")) == []
 
 
@@ -283,3 +294,27 @@ def test_delete_letter_removes_all(w, x):
 @given(words)
 def test_parser_emit_roundtrip(w):
     assert parse_word(str(w)) == w
+
+
+@given(
+    st.one_of(
+        words.filter(lambda w: len(w) >= 2),
+        st.text("abc", min_size=2, max_size=10).map(parse_word),
+    )
+)
+def test_length2_profile_matches_definition(w):
+    ls = w.letters
+    pairs = [ls[p : p + 2] for p in range(len(ls) - 1)]
+    unique = all(pairs.count(pair) == 1 for pair in pairs)
+
+    def first(p):
+        return occurrence_positions(w, ls[p])[0] == p + 1
+
+    def last(p):
+        return occurrence_positions(w, ls[p])[-1] == p + 1
+
+    first_last = all(
+        (first(p) and last(p + 1)) or (last(p) and first(p + 1))
+        for p in range(len(ls) - 1)
+    )
+    assert length2_profile(w) == Length2Profile(unique, first_last)
