@@ -349,17 +349,18 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
     for w in universe:
         groups.setdefault(uf.find(w), []).append(w)
 
-    word_classes: list[tuple[tuple[Letter, ...], object]] = []
+    word_classes: list[tuple[Word, object]] = []
     identity_root = None
     for root, members in groups.items():
         if zero_root is not None and root == zero_root:
             continue
-        rep = min(members, key=lambda t: Word(t).shortlex_key())
-        if not pres.adjoin_identity and rep == ():
+        rep = min(map(Word, members))
+        if not pres.adjoin_identity and not rep:
             identity_root = root
             continue
         word_classes.append((rep, root))
-    word_classes.sort(key=lambda pair: Word(pair[0]).shortlex_key())
+    # representatives are distinct, so the sort never compares roots
+    word_classes.sort()
 
     # element layout: identity first, word classes by shortlex rep, zero last
     labels: list[object] = [EPSILON]
@@ -368,14 +369,14 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
         root_to_index[identity_root] = 0
     for rep, root in word_classes:
         root_to_index[root] = len(labels)
-        labels.append(Word(rep))
+        labels.append(rep)
     zero_index = None
     if pres.has_zero:
         zero_index = len(labels)
         root_to_index[zero_root] = zero_index
         labels.append(ZERO_LABEL)
 
-    reps: list[tuple[Letter, ...] | None] = [()] + [rep for rep, _ in word_classes]
+    reps: list[tuple[Letter, ...] | None] = [()] + [rep.letters for rep, _ in word_classes]
     if zero_index is not None:
         reps.append(None)
 
