@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success / HOLDS / all claims passing, 1 on FAILS or any
 failing claim, 2 on usage, parse or file errors, 3 on budget exhaustion,
-4 on an internal error (an unexpected exception, reported on stderr).
+4 on an internal error (an unexpected exception, reported on stderr, or
+the two checkers of ``check --method both`` disagreeing).
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _cmd_check(args) -> int:
     if method in ("rees", "both") and word_set is None:
         print("error: the rees method needs a rees: monoid", file=sys.stderr)
         return 2
-    table_budget = args.budget if args.budget else DEFAULT_TABLE_BUDGET
-    match_budget = args.budget if args.budget else DEFAULT_MATCH_BUDGET
+    table_budget = DEFAULT_TABLE_BUDGET if args.budget is None else args.budget
+    match_budget = DEFAULT_MATCH_BUDGET if args.budget is None else args.budget
     results = {}
     if method in ("table", "both"):
         results["table"] = check_table(monoid, ident, table_budget)
@@ -119,8 +120,10 @@ def _cmd_check(args) -> int:
             if out.witness is not None:
                 line += f"  witness {json.dumps(substitution_to_dict(out.witness, monoid))}"
             print(line)
-        if len(statuses) > 1:
-            print("warning: checkers disagree", file=sys.stderr)
+    if len(statuses) > 1:
+        # the checkers are each other's oracle: a split verdict is a bug
+        print("warning: checkers disagree", file=sys.stderr)
+        return 4
     return 0 if statuses == {HOLDS} else 1
 
 
@@ -151,8 +154,8 @@ def _cmd_verify(args) -> int:
     cfg = VerifyConfig(
         max_n=args.max_n,
         seed=args.seed,
-        table_budget=args.table_budget or DEFAULT_TABLE_BUDGET,
-        match_budget=args.match_budget or DEFAULT_MATCH_BUDGET,
+        table_budget=args.table_budget,
+        match_budget=args.match_budget,
     )
     report = run_claims(cfg)
     print(report.to_text())
@@ -167,6 +170,17 @@ def _cmd_verify(args) -> int:
     if "BUDGET" in statuses:
         return 3
     return 0
+
+
+def _budget(text: str) -> int:
+    """A budget flag's value: a non-negative int, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monoid", required=True, help="rees:<wordset> or preset:<name>")
     p.add_argument("--identity", required=True, help='identity text, e.g. "x^3=x^4"')
     p.add_argument("--method", choices=("table", "rees", "both"), default="table")
-    p.add_argument("--budget", type=int, default=0, help="override the default budget")
+    p.add_argument("--budget", type=_budget, default=None,
+                   help=f"budget for every checker that runs (default: table "
+                   f"{DEFAULT_TABLE_BUDGET} substitutions, rees {DEFAULT_MATCH_BUDGET} "
+                   "matcher nodes); 0 is a zero budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -202,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("target")
     p.add_argument("--no-erasing", action="store_true", help="forbid empty images")
-    p.add_argument("--budget", type=int, default=DEFAULT_MATCH_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_MATCH_BUDGET,
+                   help=f"matcher budget in backtracking nodes (default {DEFAULT_MATCH_BUDGET})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_match)
 
@@ -216,9 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--match-budget", type=int, default=0,
-                   help="raise the matcher budget (needed for --max-n 3)")
-    p.add_argument("--table-budget", type=int, default=0)
+    p.add_argument("--match-budget", type=_budget, default=DEFAULT_MATCH_BUDGET,
+                   help=f"matcher budget per check (default {DEFAULT_MATCH_BUDGET}; "
+                   "--max-n 3 needs 200000000)")
+    p.add_argument("--table-budget", type=_budget, default=DEFAULT_TABLE_BUDGET,
+                   help=f"table checker budget per check (default {DEFAULT_TABLE_BUDGET})")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -2,7 +2,8 @@
 independent satisfaction checkers.
 
 ``check_table`` decides satisfaction by brute force over all element
-substitutions of a multiplication table.  ``check_rees`` decides the same
+substitutions of a multiplication table, evaluated in odometer blocks of
+numpy broadcast products.  ``check_rees`` decides the same
 question for a word-set quotient without touching the table, by matching
 the identity's sides into the source words.  The two are kept independent
 on purpose and are cross-validated by the verify module.
@@ -11,6 +12,7 @@ on purpose and are cross-validated by the verify module.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +134,10 @@ def evaluate(w: Word, subst: Substitution, monoid: FiniteMonoid) -> int:
     """Left-to-right product of the images of ``w`` in the monoid.
 
     Word values need a Rees quotient and are resolved by label, a word
-    that is not a factor being zero; element indices are used directly,
-    and :data:`ZERO` forces the zero element.  Exits early once the
-    running product hits zero.
+    that is not a factor being zero; element indices (any integer type
+    but ``bool``, numpy integers included) are used directly, and
+    :data:`ZERO` forces the zero element.  Exits early once the running
+    product hits zero.
     """
     mapping = subst.as_dict()
     acc = monoid.one
@@ -150,22 +153,15 @@ def evaluate(w: Word, subst: Substitution, monoid: FiniteMonoid) -> int:
             if monoid.word_set is None:
                 raise TypeError("word-valued assignments need a Rees quotient")
             e = monoid.element_of(value)
-        elif isinstance(value, int):
-            if not (0 <= value < monoid.order):
-                raise IndexError(f"element index {value} out of range")
-            e = value
-        else:
+        elif isinstance(value, bool) or not hasattr(value, "__index__"):
             raise TypeError(f"unsupported assignment value {value!r}")
+        else:
+            e = operator.index(value)
+            if not (0 <= e < monoid.order):
+                raise IndexError(f"element index {e} out of range")
         acc = monoid.mul(acc, e)
         if monoid.zero is not None and acc == monoid.zero:
             return acc
-    return acc
-
-
-def _eval_chunk(table: np.ndarray, one: int, seq: list[int], coords, size: int) -> np.ndarray:
-    acc = np.full(size, one, dtype=np.int32)
-    for vi in seq:
-        acc = table[acc, coords[vi]]
     return acc
 
 
@@ -174,41 +170,60 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
 
     Substitutions are enumerated odometer-style over the variables in
     letter order with the last variable moving fastest, so the first
-    failing substitution found is the canonical least witness.
+    failing substitution found is the canonical least witness, and
+    ``evaluations`` is its one-based position (or the total on HOLDS).
+
+    The enumeration runs in blocks.  The t trailing variables, t the
+    largest count with order^t <= ``_CHUNK`` (at least one), are
+    ``arange`` axes broadcast against each other; the leading variables
+    are plain ints fixed per block, taken in odometer order.  Each side
+    folds left to right through the table and stays a scalar until its
+    first trailing letter, so the letters before it cost one lookup per
+    block.  Only the first ``budget`` substitutions are searched; a
+    witness-free search that stops short of the total raises
+    :class:`BudgetExceededError`.
     """
     variables = sorted(ident.lhs.alphabet | ident.rhs.alphabet)
     k = len(variables)
     if k == 0:
         return CheckOutcome(HOLDS, None, 1)
     n = monoid.order
+    total = n**k
+    t = 1
+    while t < k and n ** (t + 1) <= _CHUNK:
+        t += 1
+    lead = k - t
+    block = n**t
+    shape = (n,) * t
+    axes = [np.arange(n).reshape((n,) + (1,) * (t - 1 - j)) for j in range(t)]
     var_pos = {v: i for i, v in enumerate(variables)}
     lhs_seq = [var_pos[l] for l in ident.lhs.letters]
     rhs_seq = [var_pos[l] for l in ident.rhs.letters]
     table = monoid.table
-    total = n**k
-    dims = (n,) * k
-    start = 0
-    while start < total:
+    one = monoid.one
+
+    def fold(seq, prefix):
+        acc = one
+        for vi in seq:
+            acc = table[acc, prefix[vi] if vi < lead else axes[vi - lead]]
+        return acc
+
+    for b, prefix in enumerate(itertools.product(range(n), repeat=lead)):
+        start = b * block
         if start >= budget:
-            raise BudgetExceededError(
-                f"table budget exhausted after {start} of {total} substitutions",
-                start,
-                budget,
-            )
-        end = min(start + _CHUNK, total, budget)
-        flat = np.arange(start, end, dtype=np.int64)
-        coords = np.unravel_index(flat, dims)
-        size = end - start
-        lv = _eval_chunk(table, monoid.one, lhs_seq, coords, size)
-        rv = _eval_chunk(table, monoid.one, rhs_seq, coords, size)
-        neq = lv != rv
-        if neq.any():
-            off = int(np.argmax(neq))
-            witness = Substitution.of(
-                {v: int(coords[i][off]) for i, v in enumerate(variables)}
-            )
-            return CheckOutcome(FAILS, witness, start + off + 1)
-        start = end
+            break
+        neq = fold(lhs_seq, prefix) != fold(rhs_seq, prefix)
+        off = int(np.argmax(neq))
+        if neq.flat[off]:
+            if start + off >= budget:
+                break
+            witness = prefix + tuple(int(c) for c in np.unravel_index(off, shape))
+            return CheckOutcome(FAILS, Substitution.of(dict(zip(variables, witness))), start + off + 1)
+    if budget < total:
+        spent = max(budget, 0)
+        raise BudgetExceededError(
+            f"table budget exhausted after {spent} of {total} substitutions", spent, budget
+        )
     return CheckOutcome(HOLDS, None, total)
 
 

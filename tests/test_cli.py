@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from monoidlab import parse_identity, parse_word
+from monoidlab import FAILS, HOLDS, cli, parse_identity, parse_word
 from monoidlab.cli import main
 
 W1_TEXT = "z_1.t_1.x.z_1.y_1^1.x.y_1^0.y_1^1"
@@ -54,6 +55,27 @@ def test_check_both_methods_agree(capsys):
     )
     assert code == 0
     assert "table: HOLDS" in out and "rees: HOLDS" in out
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_checker_disagreement_exits_four(capsys, monkeypatch, as_json):
+    real = cli.check_rees
+
+    def flipped(*args):
+        out = real(*args)
+        return dataclasses.replace(out, status=FAILS if out.status == HOLDS else HOLDS)
+
+    monkeypatch.setattr(cli, "check_rees", flipped)
+    argv = ["check", "--monoid", "rees:aabb", "--identity", "x^3y=yx^3", "--method", "both"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 4
+    assert "warning: checkers disagree" in err
+    if as_json:
+        data = json.loads(out)
+        assert data["agree"] is False
+        assert (data["table"]["status"], data["rees"]["status"]) == (HOLDS, FAILS)
+    else:
+        assert out.split("\n")[:2] == ["table: HOLDS", "rees: FAILS"]
 
 
 def test_check_rees_method_builds_no_table(capsys, monkeypatch):
@@ -130,6 +152,40 @@ def test_unknown_preset_exit_code(capsys):
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "match", "x", "ab", "--budget", "0")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--monoid", "rees:aabb", "--identity", "xy=yx", "--budget", "-5"],
+    ["match", "x", "ab", "--budget", "-1"],
+    ["verify-paper", "--max-n", "1", "--table-budget", "-1"],
+    ["verify-paper", "--max-n", "1", "--match-budget", "-1"],
+    ["check", "--monoid", "rees:aabb", "--identity", "xy=yx", "--budget", "lots"],
+])
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "budget must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["table", "rees", "both"])
+def test_check_zero_budget_is_a_zero_budget(capsys, method):
+    argv = ["check", "--monoid", "rees:aabb", "--identity", "x^3y=yx^3", "--method", method]
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == 3 and "budget" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "HOLDS" in out
+
+
+@pytest.mark.parametrize("flag", ["--table-budget", "--match-budget"])
+def test_verify_zero_budget_is_a_zero_budget(capsys, tmp_path, flag):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify-paper", "--max-n", "1", flag, "0", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    assert code == 3
+    assert data["config"][flag[2:].replace("-", "_")] == 0
+    # C13 runs both checkers, so either budget at zero exhausts it
+    assert "C13" in {c["id"] for c in data["claims"] if c["status"] == "BUDGET"}
 
 
 def test_match_output(capsys):

@@ -43,6 +43,7 @@ from monoidlab import (
     scan_matches,
     separation_identity,
 )
+from monoidlab import identities
 from monoidlab.verify import random_identity, random_no_div_instance
 
 
@@ -123,6 +124,21 @@ def test_evaluate_element_indices():
     assert evaluate(parse_word("xxx"), phi, m) == m.zero
 
 
+def test_evaluate_accepts_numpy_element_indices():
+    m = from_presentation(preset("M_SCRIPT"))
+    a = m.index_of_label("a")
+    aa = m.table[a, a]  # a numpy integer, not an int
+    phi = Substitution.of({Letter("x"): aa})
+    assert evaluate(parse_word("x"), phi, m) == m.index_of_label("aa")
+    assert evaluate(parse_word("xx"), phi, m) == m.zero
+
+
+def test_evaluate_rejects_bool_element_index():
+    phi = Substitution.of({Letter("x"): True})
+    with pytest.raises(TypeError, match="unsupported assignment value True"):
+        evaluate(parse_word("x"), phi, Q_AABB)
+
+
 def test_check_table_holds():
     m = from_presentation(preset("M_SCRIPT"))
     out = check_table(m, parse_identity("x^3=x^4"))
@@ -179,6 +195,58 @@ def test_check_table_against_plain_evaluate_loop():
         assert (out.status == FAILS) == (failing is not None)
         if failing is not None:
             assert out.witness == failing  # same odometer order, same witness
+
+
+def _least_witness(m, ident):
+    """One-based odometer index and assignment of the least failing
+    substitution, by evaluate() over every element assignment."""
+    variables = sorted(ident.lhs.alphabet | ident.rhs.alphabet)
+    for i, combo in enumerate(itertools.product(range(m.order), repeat=len(variables)), 1):
+        phi = Substitution.of(dict(zip(variables, combo)))
+        if evaluate(ident.lhs, phi, m) != evaluate(ident.rhs, phi, m):
+            return i, phi
+    return None, None
+
+
+def _block_test_identity(rng, k):
+    # Mostly balanced: the sides then agree whenever all but one variable
+    # is the identity element, which pushes the least witness past the
+    # first block.
+    variables = [Letter(c) for c in "xyzt"[:k]]
+    lhs = [rng.choice(variables) for _ in range(rng.randint(1, 6))]
+    rhs = rng.sample(lhs, len(lhs)) if rng.random() < 0.7 else [
+        rng.choice(variables) for _ in range(rng.randint(0, 6))]
+    return Identity(Word(tuple(lhs)), Word(tuple(rhs)))
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 25, 26, 100, 125])
+def test_check_table_blocks_agree_with_plain_loop(monkeypatch, chunk):
+    # Small chunks split order-5 and order-10 tables into blocks of one
+    # trailing variable or several, behind zero to three leading ones.
+    monkeypatch.setattr(identities, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    q_ab = rees_quotient(ws("ab"))
+    for m, sweep_k, wide_k in ((q_ab, 3, 4), (Q_AABB, 2, 3)):
+        for k in [1, 2, 2, sweep_k, sweep_k, sweep_k, wide_k, wide_k]:
+            ident = _block_test_identity(rng, k)
+            index, failing = _least_witness(m, ident)
+            total = m.order ** len(ident.lhs.alphabet | ident.rhs.alphabet)
+            out = check_table(m, ident)
+            if failing is None:
+                assert (out.status, out.witness, out.evaluations) == (HOLDS, None, total)
+            else:
+                assert (out.status, out.witness, out.evaluations) == (FAILS, failing, index)
+            if k == wide_k:
+                continue
+            for budget in range(total + 2):
+                if (index is None or index > budget) and budget < total:
+                    with pytest.raises(BudgetExceededError) as info:
+                        check_table(m, ident, budget)
+                    message = f"table budget exhausted after {budget} of {total} substitutions"
+                    err = info.value
+                    assert (err.args, err.spent, err.limit) == ((message,), budget, budget)
+                else:
+                    assert check_table(m, ident, budget) == out
 
 
 def test_match_pattern_xy_into_ab():
