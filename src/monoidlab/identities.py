@@ -185,8 +185,6 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     """
     variables = sorted(ident.lhs.alphabet | ident.rhs.alphabet)
     k = len(variables)
-    if k == 0:
-        return CheckOutcome(HOLDS, None, 1)
     n = monoid.order
     total = n**k
     t = 1
@@ -208,7 +206,9 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
             acc = table[acc, prefix[vi] if vi < lead else axes[vi - lead]]
         return acc
 
-    for b, prefix in enumerate(itertools.product(range(n), repeat=lead)):
+    # with no variables the one substitution is the empty one, and 1 = 1
+    prefixes = itertools.product(range(n), repeat=lead) if k else ()
+    for b, prefix in enumerate(prefixes):
         start = b * block
         if start >= budget:
             break

@@ -177,6 +177,14 @@ def test_check_zero_budget_is_a_zero_budget(capsys, method):
     assert code == 0 and "HOLDS" in out
 
 
+def test_check_variable_free_identity_zero_budget(capsys):
+    argv = ["check", "--monoid", "rees:ab", "--identity", "1=1"]
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == 3 and "budget" in err
+    code, out, _ = run(capsys, *argv, "--budget", "1")
+    assert code == 0 and "HOLDS" in out
+
+
 @pytest.mark.parametrize("flag", ["--table-budget", "--match-budget"])
 def test_verify_zero_budget_is_a_zero_budget(capsys, tmp_path, flag):
     out_file = tmp_path / "report.json"

@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoidlab import (
@@ -157,6 +157,19 @@ def test_check_table_canonical_witness():
 def test_check_table_trivial_and_degenerate():
     assert check_table(Q_AABB, parse_identity("xyx=xyx")).status == HOLDS
     assert check_table(Q_AABB, parse_identity("1=1")).status == HOLDS
+
+
+@pytest.mark.parametrize("budget", [-1, 0])
+def test_check_table_variable_free_identity_needs_one_substitution(budget):
+    with pytest.raises(BudgetExceededError) as info:
+        check_table(Q_AABB, parse_identity("1=1"), budget)
+    assert str(info.value) == "table budget exhausted after 0 of 1 substitutions"
+    assert (info.value.spent, info.value.limit) == (0, budget)
+
+
+def test_check_table_variable_free_identity_within_budget():
+    out = check_table(Q_AABB, parse_identity("1=1"), 1)
+    assert (out.status, out.witness, out.evaluations) == (HOLDS, None, 1)
 
 
 def test_check_table_witness_revalidates():
@@ -426,6 +439,24 @@ def test_check_rees_matches_unpruned_reference(word_set, lhs, rhs):
     ident = Identity(lhs, rhs)
     out = check_rees(word_set, ident)
     assert (out.status, out.witness) == reference_rees(word_set, ident)
+
+
+join_sides = st.text("xyz", max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text("abc", min_size=1, max_size=6), max_size=3),
+    st.tuples(join_sides, join_sides) | join_sides.map(lambda side: (side, side)),
+)
+@example([], ("xy", "yzx"))
+def test_check_rees_is_the_join_of_its_words(texts, sides):
+    # var M(W) is the join of var M({w}), w in W; the empty set carries the
+    # alphabet rule, which no word of W decides
+    ident = Identity(*(parse_word(side or "1") for side in sides))
+    parts = [ws()] + [ws(t) for t in texts]
+    joined = HOLDS if all(check_rees(p, ident).status == HOLDS for p in parts) else FAILS
+    assert check_rees(ws(*texts), ident).status == joined
 
 
 def test_check_rees_equal_sides():

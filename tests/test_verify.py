@@ -7,12 +7,17 @@ import json
 import pytest
 
 from monoidlab import (
+    EPSILON,
+    Substitution,
     VerifyConfig,
     cross_check_checkers,
     enumerate_small_rees,
+    generate_wn,
+    parse_identity,
     run_claims,
+    separation_identity,
 )
-from monoidlab.identities import HOLDS, CheckOutcome
+from monoidlab.identities import FAILS, HOLDS, CheckOutcome
 import monoidlab.verify as verify_mod
 
 
@@ -59,13 +64,23 @@ def test_run_claims_rejects_bad_config():
         run_claims(VerifyConfig(max_n=0))
 
 
+def _without_millis(report):
+    data = report.to_dict()
+    for claim in data["claims"]:
+        claim["millis"] = 0
+    return data
+
+
 def test_determinism_modulo_millis():
-    first = run_claims(VerifyConfig(max_n=1, seed=7)).to_dict()
-    second = run_claims(VerifyConfig(max_n=1, seed=7)).to_dict()
-    for report in (first, second):
-        for claim in report["claims"]:
-            claim["millis"] = 0
-    assert first == second
+    first = run_claims(VerifyConfig(max_n=1, seed=7))
+    second = run_claims(VerifyConfig(max_n=1, seed=7))
+    assert _without_millis(first) == _without_millis(second)
+
+
+def test_determinism_modulo_millis_with_distinctness(default_report):
+    # at max_n = 1 C9 is SKIPPED; max_n = 2 (the default) runs it
+    again = run_claims(default_report.config)
+    assert _without_millis(default_report) == _without_millis(again)
 
 
 def test_enumerate_defaults():
@@ -105,3 +120,57 @@ def test_cross_check_detects_broken_checker(monkeypatch):
     assert not result.ok
     assert result.discrepancy is not None
     assert result.discrepancy["rees"] != result.discrepancy["table"]
+
+
+def _recording_rees(monkeypatch, forced=()):
+    """Patch the claims' ``check_rees`` to record each call as (indices of
+    the family words, identity), and to report ``forced[call]`` in place of
+    the real status where given."""
+    forced = dict(forced)
+    index = {generate_wn(k): k for k in (1, 2)}
+    calls = []
+    real = verify_mod.check_rees
+
+    def fake(word_set, ident, budget):
+        call = (tuple(sorted(index[w] for w in word_set)), ident)
+        calls.append(call)
+        if call in forced:
+            witness = Substitution.of({v: EPSILON for v in ident.lhs.alphabet | ident.rhs.alphabet})
+            return CheckOutcome(forced[call], witness, 0)
+        return real(word_set, ident, budget)
+
+    monkeypatch.setattr(verify_mod, "check_rees", fake)
+    return calls
+
+
+@pytest.mark.parametrize("claim", ["_claim_sigma_truncations", "_claim_distinct_varieties"])
+def test_subset_claims_check_single_words_once(monkeypatch, claim):
+    calls = _recording_rees(monkeypatch)
+    status, _ = getattr(verify_mod, claim)(VerifyConfig(max_n=2))
+    assert status == "PASS"
+    assert all(len(ks) <= 1 for ks, _ in calls), calls
+    assert len(calls) == len(set(calls))
+
+
+def test_sigma_failure_on_one_word_fails_its_subset(monkeypatch):
+    ident = parse_identity("x^3y=yx^3")
+    _recording_rees(monkeypatch, {((2,), ident): FAILS})
+    status, witness = verify_mod._claim_sigma_truncations(VerifyConfig(max_n=2))
+    assert status == "FAIL"
+    assert (witness["subset"], witness["identity"], witness["status"]) == ([2], str(ident), FAILS)
+
+
+@pytest.mark.parametrize(
+    "n, word_indices, status, subsets",
+    [
+        # sep(2) holding in M({w_2}) no longer tells {w_2} from the empty set
+        (2, (2,), HOLDS, [[], [2]]),
+        # sep(1) failing on the empty set, as the alphabet rule would, fails
+        # on every subset, so it separates none
+        (1, (), FAILS, [[], [1]]),
+    ],
+)
+def test_distinctness_reads_the_verdict_matrix(monkeypatch, n, word_indices, status, subsets):
+    _recording_rees(monkeypatch, {(word_indices, separation_identity(n)): status})
+    got = verify_mod._claim_distinct_varieties(VerifyConfig(max_n=2))
+    assert got == ("FAIL", {"subsets": subsets})
