@@ -294,6 +294,7 @@ def _scan_matches(
     budget: _Budget,
     on_match,
     other: Word | None = None,
+    best: list | None = None,
 ) -> None:
     """Drive ``on_match(values, start, end)`` over every factor match of
     the pattern into the coded target.
@@ -316,6 +317,21 @@ def _scan_matches(
     words once E is deleted is skipped along with its whole subtree: E
     only grows deeper in the walk and the equality is upward-closed in E,
     so no completion is reported.  The test is memoized by bitmask of E.
+
+    With ``best`` given (a one-item list holding None or the
+    :func:`_values_key` of the best witness so far, which ``on_match``
+    updates), the walk is a branch and bound for the least key.  After
+    each binding it takes the longest prefix of the sorted variables that
+    is bound, and cuts the subtree when that prefix compares greater than
+    the same prefix of the best key, or equal to it when it covers every
+    variable: every completion then compares greater, or equal.  An equal
+    prefix that is not complete is walked on.  Only blocks that lengthen
+    the prefix compare, and only over the variables they add: a path that
+    fell below the best key at some block stays below it, and that block
+    is remembered.  A new best key comes from a match below every open
+    block, so when it changes every open prefix equals it and the
+    remembered block is dropped.  Only keys below the best reach
+    ``on_match``.
     """
     variables = sorted(pattern.alphabet)
     var_index = {v: i for i, v in enumerate(variables)}
@@ -362,6 +378,25 @@ def _scan_matches(
                 i for i in other_idx if not mask >> i & 1
             ]
         return hit
+
+    # Block d binds block_var[d]; when that lengthens the bound prefix of
+    # the sorted variables from lo to hi, spans[d] = (lo, hi), and lo is
+    # then block_var[d] itself.  Blocks that lengthen nothing, and every
+    # block of an unbounded walk, get None.
+    spans: list[tuple[int, int] | None] = [None] * k
+    if best is not None:
+        bound_vars: set[int] = set()
+        lo = 0
+        for d, vi in enumerate(block_var):
+            bound_vars.add(vi)
+            hi = lo
+            while hi in bound_vars:
+                hi += 1
+            if hi > lo:
+                spans[d] = (lo, hi)
+            lo = hi
+    seen = None  # the best key that less_at refers to
+    less_at = k  # extending block where the path fell below seen, else k
 
     values: list[str | None] = [None] * k
     low = 0 if erasing else 1
@@ -414,6 +449,29 @@ def _scan_matches(
                     break
                 end += len(s)
             else:
+                span = spans[d]
+                if span is not None:
+                    key = best[0]
+                    if key is not None:
+                        if key is not seen:
+                            # the key came from a match below every open
+                            # block, or from an earlier walk before any
+                            # prefix was bound: open prefixes all equal it
+                            seen = key
+                            less_at = k
+                        if less_at >= d:
+                            a, b = span
+                            i = a
+                            while i < b and values[i] == key[i][1]:
+                                i += 1
+                            if i < b:
+                                if (len(values[i]), values[i]) > key[i]:
+                                    continue
+                                less_at = d
+                            elif b == k:
+                                continue
+                            else:
+                                less_at = k
                 if d == last:
                     on_match(values, start, end)
                 else:
@@ -492,8 +550,17 @@ def check_rees(
     never be witnesses.  The matcher cuts each such subtree at the erase
     decision that makes it trivial, at no budget cost beyond that
     decision's tick (the deletion argument for M(W) of Jackson and Sapir,
-    "Finitely based, finite sets of words", 2000).  ``evaluations`` counts
-    the non-trivial matches examined.
+    "Finitely based, finite sets of words", 2000).
+
+    The witness is the least mismatch under :func:`_values_key` (the
+    images in sorted variable order, each shortlex), and the search is a
+    branch and bound for it: once a mismatch is known, the matcher cuts
+    every subtree whose bound prefix of sorted variables already compares
+    greater than the best key, or equal to all of it (see
+    :func:`_scan_matches`).  The witness is the one the full walk would
+    keep; a search that finds no mismatch sets no bound and walks exactly
+    the same nodes.  ``evaluations`` counts the matches examined that
+    were neither trivial nor cut by the bound.
     """
     alf_l = ident.lhs.alphabet
     alf_r = ident.rhs.alphabet
@@ -509,7 +576,7 @@ def check_rees(
     variables = sorted(alf_l)
     var_index = {v: i for i, v in enumerate(variables)}
     examined = 0
-    best_key: tuple | None = None
+    best_key: list[tuple | None] = [None]  # shared with the walker as its bound
     best_vals: tuple | None = None
     for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
         v_idx = [var_index[c] for c in v.letters]
@@ -517,14 +584,13 @@ def check_rees(
             tgt = coding.encode(w)
 
             def on_match(values, start, end, _tgt=tgt, _v_idx=v_idx):
-                nonlocal examined, best_key, best_vals
+                nonlocal examined, best_vals
                 examined += 1
                 if "".join([values[i] for i in _v_idx]) != _tgt[start:end]:
-                    key = _values_key(values)
-                    if best_key is None or key < best_key:
-                        best_key, best_vals = key, tuple(values)
+                    # the bound lets through only keys below the best
+                    best_key[0], best_vals = _values_key(values), tuple(values)
 
-            _scan_matches(u, tgt, True, counter, on_match, other=v)
+            _scan_matches(u, tgt, True, counter, on_match, other=v, best=best_key)
     if best_vals is not None:
         return CheckOutcome(FAILS, coding.substitution(variables, best_vals), examined)
     return CheckOutcome(HOLDS, None, examined)

@@ -49,6 +49,16 @@ class Letter:
         for part in (self.sub, self.sup):
             if part is not None and part < 0:
                 raise ValueError("subscript and superscript must be nonnegative")
+        # Letters key the matcher's and the predicates' dicts, so the hash
+        # is computed once.  Unpickling restores it without recomputing it,
+        # so it is built from ints only, which hash alike under every
+        # PYTHONHASHSEED.
+        sub = -1 if self.sub is None else self.sub
+        sup = -1 if self.sup is None else self.sup
+        object.__setattr__(self, "_hash", hash((ord(self.base), sub, sup)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self) -> tuple:
         return (

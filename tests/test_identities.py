@@ -381,6 +381,24 @@ def test_check_rees_separation_off_diagonal_three_default_budget():
         assert check_rees(WordSet.of([generate_wn(k)]), separation_identity(3)).status == HOLDS
 
 
+def test_check_rees_separation_diagonal_three_default_budget():
+    # the least-witness bound brings the (3,3) diagonal within the default
+    # budget (about 650k nodes, from 2.7M), with the canonical witness
+    out = check_rees(WordSet.of([generate_wn(3)]), separation_identity(3))
+    assert out.status == FAILS
+    assert out.witness == Substitution.identity_on(generate_wn(3).alphabet)
+
+
+def test_check_rees_holds_search_pays_nothing_for_the_bound():
+    # a search that finds no mismatch never sets a best key, so it walks
+    # exactly the nodes of the unbounded walk: 187,668 for sep(2) in w_3
+    word_set, ident = WordSet.of([generate_wn(3)]), separation_identity(2)
+    assert check_rees(word_set, ident, budget=187_668).status == HOLDS
+    with pytest.raises(BudgetExceededError) as info:
+        check_rees(word_set, ident, budget=187_667)
+    assert info.value.spent == 187_668
+
+
 @pytest.mark.stretch
 def test_check_rees_separation_row_three_raised_budget():
     raised = 2 * 10**8
@@ -405,9 +423,10 @@ def test_check_rees_witness_revalidates():
 
 
 def reference_rees(word_set, ident):
-    """check_rees rebuilt without the erasure prune: the alphabet rule,
-    then every match of either side through scan_matches, keeping the
-    least mismatch with each image compared shortlex in variable order."""
+    """check_rees rebuilt without the erasure prune or the least-witness
+    bound: the alphabet rule, then every match of either side through
+    scan_matches, keeping the least mismatch with each image compared
+    shortlex in variable order."""
     alf_l, alf_r = ident.lhs.alphabet, ident.rhs.alphabet
     if alf_l != alf_r:
         lone = min(alf_l ^ alf_r)
@@ -427,16 +446,33 @@ def reference_rees(word_set, ident):
     return (HOLDS, None) if best is None else (FAILS, best[1])
 
 
-small_word_sets = st.lists(st.text("ab", min_size=1, max_size=6), max_size=3).map(
+small_word_sets = st.lists(st.text("abc", min_size=1, max_size=8), max_size=3).map(
     lambda texts: ws(*texts)
 )
-small_sides = st.text("xyz", min_size=1, max_size=5).map(parse_word)
+side_texts = st.text("xyz", min_size=1, max_size=6)
+# half the pairs share an alphabet, so the matcher, not the alphabet rule,
+# decides them
+side_pairs = st.tuples(side_texts, side_texts) | side_texts.flatmap(
+    lambda lhs: st.tuples(st.just(lhs), st.text("".join(sorted(set(lhs))), min_size=1, max_size=6))
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_word_sets, small_sides, small_sides)
-def test_check_rees_matches_unpruned_reference(word_set, lhs, rhs):
-    ident = Identity(lhs, rhs)
+@given(small_word_sets, side_pairs)
+# In each example two mismatches tie on x and differ on a later variable.
+# {x -> a, y -> c} is found after {x -> a, y -> aac}, below an equal,
+# incomplete prefix x -> a:
+@example(ws("aaac"), ("xy", "yx"))
+# zyx binds z and y before x, so they form no sorted prefix: z -> a,
+# below the best z -> b, must not let {x -> 1, y -> b, z -> a} replace
+# {x -> 1, y -> a, z -> b}:
+@example(ws("ab"), ("yzx", "zyx"))
+# the best key improves inside a subtree whose prefix compared below the
+# old one, so the cached comparison must be refreshed:
+@example(ws("ab"), ("yyx", "xyx"))
+@example(ws("accc"), ("xzyx", "xyz"))
+def test_check_rees_matches_unpruned_reference(word_set, sides):
+    ident = Identity(*map(parse_word, sides))
     out = check_rees(word_set, ident)
     assert (out.status, out.witness) == reference_rees(word_set, ident)
 

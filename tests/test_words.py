@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +53,32 @@ def test_letter_validation():
         Letter("ab")
     with pytest.raises(ValueError):
         Letter("a", sub=-1)
+
+
+def test_letter_hash_survives_pickling_across_hash_seeds():
+    # a letter caches its hash and unpickling restores the cached value, so
+    # letters pickled by a process with another PYTHONHASHSEED must still
+    # find their entries in a dict keyed by fresh equal letters
+    import monoidlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monoidlab.__file__)))
+    script = (
+        "import pickle, sys\n"
+        "from monoidlab import Letter\n"
+        "letters = [Letter('x'), Letter('y', 1), Letter('y', 1, 0), Letter('z', None, 2)]\n"
+        "sys.stdout.buffer.write(pickle.dumps(letters))\n"
+    )
+    fresh = [Letter("x"), Letter("y", 1), Letter("y", 1, 0), Letter("z", None, 2)]
+    index = {l: i for i, l in enumerate(fresh)}
+    for seed in ("1", "2", "3"):
+        if seed == os.environ.get("PYTHONHASHSEED"):
+            continue
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+        loaded = pickle.loads(out.stdout)
+        assert loaded == fresh
+        assert [index[l] for l in loaded] == [0, 1, 2, 3]
+        assert [hash(l) for l in loaded] == [hash(l) for l in fresh]
 
 
 def test_parse_compact_and_power():
