@@ -643,6 +643,11 @@ def check_star_property(wn: Word, wk: Word, subst: Substitution) -> bool:
     two c occurrences landing exactly on the first and second occurrences
     of d.  The substitution must be a genuine factor match; its placement
     is recomputed here and the property must hold at every placement.
+
+    Claim C11 does not call this per match: it checks the two premises of
+    the alignment lemma on the target (see ``_alignment_premise`` in
+    :mod:`monoidlab.verify`).  This function is the per-match oracle that
+    the tests check the lemma against.
     """
     image = subst.apply(wn)
     tk = wk.letters

@@ -555,11 +555,28 @@ def test_star_property_identity_and_empty():
     assert check_star_property(w1, generate_wn(2), all_empty)
 
 
-def test_star_property_all_matches_w1_into_w2():
-    w1, w2 = generate_wn(1), generate_wn(2)
-    subs = match_pattern(w1, w2)
-    assert subs, "expected at least the all-empty match"
-    assert all(check_star_property(w1, w2, s) for s in subs)
+@pytest.mark.parametrize(
+    "n, k, matches",
+    [
+        pytest.param(1, 2, 1_432, id="w1_into_w2"),
+        pytest.param(1, 3, 6_892, id="w1_into_w3"),
+        pytest.param(2, 3, 480_185, id="w2_into_w3", marks=pytest.mark.stretch),
+    ],
+)
+def test_star_property_all_matches(n, k, matches):
+    # the per-match oracle at the scale of the family, where claim C11
+    # checks only the premises of the alignment lemma
+    wn, wk = generate_wn(n), generate_wn(k)
+    seen = 0
+
+    def on_match(sub):
+        nonlocal seen
+        assert check_star_property(wn, wk, sub), sub
+        seen += 1
+
+    # (2,3) walks more than the default 10^6 nodes
+    scan_matches(wn, wk, on_match, budget=2 * 10**8)
+    assert seen == matches
 
 
 def test_star_property_rejects_non_match():

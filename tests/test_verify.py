@@ -5,16 +5,22 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monoidlab import (
     EPSILON,
+    Length2Profile,
     Substitution,
     VerifyConfig,
+    check_star_property,
     cross_check_checkers,
     enumerate_small_rees,
     generate_wn,
     parse_identity,
+    parse_word,
     run_claims,
+    scan_matches,
     separation_identity,
 )
 from monoidlab.identities import FAILS, HOLDS, CheckOutcome
@@ -174,3 +180,48 @@ def test_distinctness_reads_the_verdict_matrix(monkeypatch, n, word_indices, sta
     _recording_rees(monkeypatch, {(word_indices, separation_identity(n)): status})
     got = verify_mod._claim_distinct_varieties(VerifyConfig(max_n=2))
     assert got == ("FAIL", {"subsets": subsets})
+
+
+# targets that break one premise of the alignment lemma, each with a
+# match that breaks the alignment
+_BROKEN_PREMISES = {
+    # x's two occurrences land on the 2nd and 3rd a
+    ("xyx", "abaca"): ("max_occurrences", {"x": "a", "y": "c"}),
+    # x's image ab is a length-2 factor at two positions
+    ("xx", "abab"): ("length2_unique", {"x": "ab"}),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("xyz", min_size=1, max_size=6), st.text("abcd", min_size=1, max_size=9))
+@example("xyx", "abaca")
+@example("xx", "abab")
+def test_alignment_premises_imply_the_property(pattern_text, target_text):
+    pattern, target = parse_word(pattern_text), parse_word(target_text)
+    breaking = []
+
+    def on_match(sub):
+        if not check_star_property(pattern, target, sub):
+            breaking.append({str(v): str(img) for v, img in sub.as_dict().items()})
+
+    scan_matches(pattern, target, on_match)
+    premise = verify_mod._alignment_premise(target)
+    if premise is None:
+        assert not breaking
+    if (pattern_text, target_text) in _BROKEN_PREMISES:
+        name, match = _BROKEN_PREMISES[pattern_text, target_text]
+        assert premise == name
+        assert match in breaking
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("C11 enumerates matches")
+
+
+def test_star_property_claim_checks_the_premises_only(monkeypatch):
+    monkeypatch.setattr(verify_mod, "scan_matches", _raise, raising=False)
+    monkeypatch.setattr(verify_mod, "check_star_property", _raise, raising=False)
+    assert verify_mod._claim_star_property(VerifyConfig(max_n=3)) == ("PASS", None)
+    monkeypatch.setattr(verify_mod, "length2_profile", lambda w: Length2Profile(False, True))
+    got = verify_mod._claim_star_property(VerifyConfig(max_n=3))
+    assert got == ("FAIL", {"k": 2, "premise": "length2_unique"})
