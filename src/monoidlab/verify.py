@@ -8,14 +8,15 @@ two runs produce byte-identical JSON up to the timing fields.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, WorkbenchError
 from .identities import (
     DEFAULT_MATCH_BUDGET,
     DEFAULT_TABLE_BUDGET,
@@ -58,14 +59,6 @@ class VerifyConfig:
     table_budget: int = DEFAULT_TABLE_BUDGET
     match_budget: int = DEFAULT_MATCH_BUDGET
 
-    def to_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "seed": self.seed,
-            "table_budget": self.table_budget,
-            "match_budget": self.match_budget,
-        }
-
 
 @dataclass
 class ClaimResult:
@@ -74,15 +67,6 @@ class ClaimResult:
     status: str
     witness: object
     millis: int
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "status": self.status,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
 
 
 @dataclass
@@ -103,8 +87,8 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
-            "claims": [c.to_dict() for c in self.claims],
+            "config": asdict(self.config),
+            "claims": [asdict(c) for c in self.claims],
             "summary": self.summary,
         }
 
@@ -173,6 +157,15 @@ def _word_verdicts(ident: Identity, cfg: VerifyConfig) -> list[CheckOutcome]:
     return [
         check_rees(_word_set_for(s), ident, cfg.match_budget) for s in _singletons(cfg.max_n)
     ]
+
+
+def _separation_rows(cfg: VerifyConfig):
+    """``rows(n)``: the :func:`_word_verdicts` row of sep(n), computed at
+    most once per returned function.  C7 reads the rows as the separation
+    matrix and C9 derives its subset verdicts from them, so one matrix
+    serves both.  A row that raises is not stored and is tried again on
+    the next call."""
+    return functools.cache(lambda n: _word_verdicts(separation_identity(n), cfg))
 
 
 def _claim_orders(cfg: VerifyConfig):
@@ -278,11 +271,10 @@ def _claim_word_structure(cfg: VerifyConfig):
     return PASS, None
 
 
-def _claim_separation_matrix(cfg: VerifyConfig):
+def _claim_separation_matrix(cfg: VerifyConfig, rows):
     for n in range(1, cfg.max_n + 1):
-        ident = separation_identity(n)
         expected_witness = Substitution.identity_on(generate_wn(n).alphabet)
-        row = _word_verdicts(ident, cfg)
+        row = rows(n)
         for k in range(1, cfg.max_n + 1):
             out = row[k]
             want = HOLDS if n != k else FAILS
@@ -315,13 +307,12 @@ def _claim_sigma_truncations(cfg: VerifyConfig):
     return PASS, None
 
 
-def _claim_distinct_varieties(cfg: VerifyConfig):
+def _claim_distinct_varieties(cfg: VerifyConfig, rows):
     if cfg.max_n < 2:
         return SKIPPED, {"reason": "needs at least two distinct subsets to compare"}
-    rows = {n: _word_verdicts(separation_identity(n), cfg) for n in range(1, cfg.max_n + 1)}
 
     def holds(subset, n):
-        return all(rows[n][k].status == HOLDS for k in (0, *subset))
+        return all(rows(n)[k].status == HOLDS for k in (0, *subset))
 
     for first, second in itertools.combinations(_subsets(cfg.max_n), 2):
         if not any(holds(first, n) != holds(second, n) for n in set(first) ^ set(second)):
@@ -516,7 +507,7 @@ def _claim_enumeration(cfg: VerifyConfig):
     return PASS, None
 
 
-def _registry():
+def _registry(rows):
     return [
         ("C1", "orders of the four basic word quotients", _claim_orders),
         ("C2", "the five-identity list holds in M(aabb) under both checkers", _claim_sigma_both),
@@ -524,9 +515,9 @@ def _registry():
         ("C4", "the three presented monoids have order 6", _claim_presented_orders),
         ("C5", "depth table of the separating family, n = 1..max_n+1", _claim_depth_family),
         ("C6", "structural predicates of the separating family, n = 1..max_n+1", _claim_word_structure),
-        ("C7", "separation identities hold exactly off the diagonal, n,k <= max_n", _claim_separation_matrix),
+        ("C7", "separation identities hold exactly off the diagonal, n,k <= max_n", functools.partial(_claim_separation_matrix, rows=rows)),
         ("C8", "the five-identity list holds in M(W_N) for every N within 1..max_n", _claim_sigma_truncations),
-        ("C9", "distinct subsets give quotients separated by some identity", _claim_distinct_varieties),
+        ("C9", "distinct subsets give quotients separated by some identity", functools.partial(_claim_distinct_varieties, rows=rows)),
         ("C10", "quotient maps verified for all nested subset pairs", _claim_quotient_maps),
         ("C11", "occurrence alignment holds for all matches of w_n into w_k, n < k", _claim_star_property),
         ("C12", "1000 random first-occurrence containment instances", _claim_no_div),
@@ -536,20 +527,28 @@ def _registry():
 
 
 def run_claims(config: VerifyConfig | None = None) -> Report:
-    """Execute the full claim registry; failures become statuses, never
-    exceptions."""
+    """Execute the full claim registry.
+
+    A claim that runs out of budget is ``BUDGET`` and one that raises any
+    other :class:`WorkbenchError` is ``FAIL``.  Any other exception is a
+    bug in the suite, not a verdict: it is re-raised as a ``RuntimeError``
+    that names the claim.  The sep(n) rows that C7 and C9 share are
+    computed once per call and dropped with it.
+    """
     cfg = config or VerifyConfig()
     if cfg.max_n < 1:
         raise ValueError("max_n must be positive")
     report = Report(cfg)
-    for cid, title, fn in _registry():
+    for cid, title, fn in _registry(_separation_rows(cfg)):
         start = time.perf_counter()
         try:
             status, witness = fn(cfg)
         except BudgetExceededError as exc:
             status, witness = BUDGET, {"error": str(exc)}
-        except Exception as exc:  # claim bugs surface as failures, not crashes
+        except WorkbenchError as exc:
             status, witness = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:
+            raise RuntimeError(f"claim {cid}: {type(exc).__name__}: {exc}") from exc
         millis = int((time.perf_counter() - start) * 1000)
         report.claims.append(ClaimResult(cid, title, status, witness, millis))
     return report

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from monoidlab import FAILS, HOLDS, cli, parse_identity, parse_word
+from monoidlab import FAILS, HOLDS, HomomorphismViolationError, cli, parse_identity, parse_word
 from monoidlab.cli import main
 
 W1_TEXT = "z_1.t_1.x.z_1.y_1^1.x.y_1^0.y_1^1"
@@ -256,6 +256,29 @@ def test_unexpected_exception_exits_four(capsys, monkeypatch):
     code, _, err = run(capsys, "wn", "1")
     assert code == 4
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+def _crash_first_claim(monkeypatch, exc):
+    def crash(cfg):
+        raise exc
+
+    monkeypatch.setattr("monoidlab.verify._claim_orders", crash)
+
+
+def test_crashing_claim_exits_four(capsys, monkeypatch):
+    _crash_first_claim(monkeypatch, TypeError("boom"))
+    code, _, err = run(capsys, "verify-paper", "--max-n", "1")
+    assert code == 4
+    assert err.strip() == "internal error: RuntimeError: claim C1: TypeError: boom"
+
+
+def test_workbench_error_in_a_claim_fails_it(capsys, monkeypatch, tmp_path):
+    _crash_first_claim(monkeypatch, HomomorphismViolationError("boom"))
+    out_file = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify-paper", "--max-n", "1", "--out", str(out_file))
+    assert code == 1 and err == ""
+    first = json.loads(out_file.read_text())["claims"][0]
+    assert (first["status"], first["witness"]) == ("FAIL", {"error": "HomomorphismViolationError: boom"})
 
 
 def test_usage_error_exits_two():

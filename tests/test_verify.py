@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -152,7 +153,9 @@ def _recording_rees(monkeypatch, forced=()):
 @pytest.mark.parametrize("claim", ["_claim_sigma_truncations", "_claim_distinct_varieties"])
 def test_subset_claims_check_single_words_once(monkeypatch, claim):
     calls = _recording_rees(monkeypatch)
-    status, _ = getattr(verify_mod, claim)(VerifyConfig(max_n=2))
+    cfg = VerifyConfig(max_n=2)
+    rows = (verify_mod._separation_rows(cfg),) if claim == "_claim_distinct_varieties" else ()
+    status, _ = getattr(verify_mod, claim)(cfg, *rows)
     assert status == "PASS"
     assert all(len(ks) <= 1 for ks, _ in calls), calls
     assert len(calls) == len(set(calls))
@@ -178,8 +181,35 @@ def test_sigma_failure_on_one_word_fails_its_subset(monkeypatch):
 )
 def test_distinctness_reads_the_verdict_matrix(monkeypatch, n, word_indices, status, subsets):
     _recording_rees(monkeypatch, {(word_indices, separation_identity(n)): status})
-    got = verify_mod._claim_distinct_varieties(VerifyConfig(max_n=2))
+    cfg = VerifyConfig(max_n=2)
+    got = verify_mod._claim_distinct_varieties(cfg, verify_mod._separation_rows(cfg))
     assert got == ("FAIL", {"subsets": subsets})
+
+
+def test_run_claims_checks_each_separation_entry_once(monkeypatch):
+    seps = {separation_identity(n) for n in (1, 2)}
+    counts = Counter()
+    real = verify_mod.check_rees
+
+    def counting(word_set, ident, budget):
+        if ident in seps:
+            counts[word_set, ident] += 1
+        return real(word_set, ident, budget)
+
+    monkeypatch.setattr(verify_mod, "check_rees", counting)
+    # the second run checks again: no row outlives the run that computed it
+    for _ in range(2):
+        counts.clear()
+        assert run_claims(VerifyConfig(max_n=2)).all_passed
+        # sep(1) and sep(2), each on the empty word set, {w_1} and {w_2}
+        assert len(counts) == 6 and set(counts.values()) == {1}, counts
+
+
+def test_zero_match_budget_exhausts_both_separation_claims():
+    # a row that ran out of budget in C7 is not stored, so C9 runs out too
+    report = run_claims(VerifyConfig(max_n=2, match_budget=0))
+    by_id = {c.id: c.status for c in report.claims}
+    assert by_id["C7"] == by_id["C9"] == "BUDGET"
 
 
 # targets that break one premise of the alignment lemma, each with a
