@@ -46,7 +46,7 @@ from .monoid import (
     multiply,
     preset,
 )
-from .rees import QuotientMap, parse_word_set, quotient_map, rees_quotient
+from .rees import parse_word_set, quotient_map, rees_quotient
 from .verify import (
     Report,
     VerifyConfig,

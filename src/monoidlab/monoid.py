@@ -74,18 +74,12 @@ class FiniteMonoid:
             raise IndexError(f"element index out of range: ({s}, {t}) with order {n}")
         return self.table.item(s, t)
 
-    def label(self, i: int):
-        return self.elements[i]
-
     def label_text(self, i: int) -> str:
         return str(self.elements[i])
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
         return {str(lab): i for i, lab in enumerate(self.elements)}
-
-    def index_of_label(self, label) -> int:
-        return self._label_index[str(label)]
 
     def element_of(self, label) -> int | None:
         """Index of the element labeled ``label``, else the zero (``None``

@@ -11,42 +11,68 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HomomorphismViolationError, NotSubsetError, ParseError
+from .errors import BudgetExceededError, HomomorphismViolationError, NotSubsetError, ParseError
 from .monoid import ZERO_LABEL, FiniteMonoid, from_table
 from .words import EPSILON, Word, WordSet, factors, generate_wn, parse_word
 
+# The largest order rees_quotient builds a table for: 256 MB of int32.
+# It is above every table the claim suite and the tests build, and above
+# the quotient of {w_1, ..., w_5}, order 4,277.
+TABLE_ORDER_LIMIT = 8192
 
-def rees_quotient(word_set: WordSet) -> FiniteMonoid:
-    """Construct ``M(W)``: identity first, factors shortlex, zero last.
 
-    The factors form a trie: each nonempty factor ``f = p c`` has the
-    factor ``p`` as parent and the letter ``c`` as last letter, and the
-    trie's nodes are exactly the nonzero elements.  With ``delta[i, c]``
-    the index of factor ``i`` followed by ``c`` (or zero), the identity
-    ``x (p c) = (x p) c`` makes column ``j`` of the table one gather,
-    ``T[:, j] = delta[T[:, parent(j)], last(j)]``.  Parents are shorter,
-    so all factors of one length are gathered at once, in O(F^2) numpy
-    work and O(F) Python steps for F factors.  :func:`from_table` then
-    validates the table; its greedy generating set is the letters, so
-    Light's test costs one comparison per letter.
+def _factor_graph(word_set: WordSet):
+    """The factors of ``word_set`` and the right Cayley graph of ``M(W)``.
+
+    Returns ``(factor_words, code, parent, last, delta)``.  Element ``i``
+    is ``factor_words[i]``, identity first and the rest shortlex; the zero
+    is element ``len(factor_words)``.  ``code`` numbers the letters of W
+    in order.  The factors form a trie: each nonempty factor ``i`` is
+    factor ``parent[i]`` followed by letter ``last[i]``, and the trie's
+    nodes are exactly the nonzero elements.  ``delta[i, c]`` is the
+    element of factor ``i`` followed by letter ``c``, or the zero, in
+    every row including the zero's.
     """
     factor_words = sorted(
         {f for w in word_set for f in factors(w)} | {EPSILON}, key=Word.shortlex_key
     )
     index = {w: i for i, w in enumerate(factor_words)}
     zero = len(factor_words)
-    n = zero + 1
     code = {l: c for c, l in enumerate(sorted({l for w in word_set for l in w.letters}))}
     parent = np.zeros(zero, dtype=np.intp)
     last = np.zeros(zero, dtype=np.intp)
     parent[1:] = [index[Word(f.letters[:-1])] for f in factor_words[1:]]
     last[1:] = [code[f.letters[-1]] for f in factor_words[1:]]
-    delta = np.full((n, len(code)), zero, dtype=np.int32)
+    delta = np.full((zero + 1, len(code)), zero, dtype=np.int32)
     delta[parent[1:], last[1:]] = np.arange(1, zero)
+    return factor_words, code, parent, last, delta
+
+
+def rees_quotient(word_set: WordSet) -> FiniteMonoid:
+    """Construct ``M(W)``: identity first, factors shortlex, zero last.
+
+    The table is read off the trie of :func:`_factor_graph`: the identity
+    ``x (p c) = (x p) c`` makes column ``j`` of the table one gather,
+    ``T[:, j] = delta[T[:, parent(j)], last(j)]``.  Parents are shorter,
+    so all factors of one length are gathered at once, in O(F^2) numpy
+    work and O(F) Python steps for F factors.  :func:`from_table` then
+    validates the table; its greedy generating set is the letters, so
+    Light's test costs one comparison per letter.  Raises
+    :class:`BudgetExceededError` before allocating a table of more than
+    :data:`TABLE_ORDER_LIMIT` elements.
+    """
+    factor_words, _, parent, last, delta = _factor_graph(word_set)
+    zero = len(factor_words)
+    n = zero + 1
+    if n > TABLE_ORDER_LIMIT:
+        raise BudgetExceededError(
+            f"the quotient has order {n}, above the table limit of {TABLE_ORDER_LIMIT}",
+            n,
+            TABLE_ORDER_LIMIT,
+        )
     lengths = [len(f) for f in factor_words]   # sorted, as factor_words is shortlex
     cols = np.empty((n, n), dtype=np.int32)    # cols[j] is column j of the table
     cols[0] = np.arange(n)
@@ -60,42 +86,55 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     return dataclasses.replace(monoid, word_set=word_set)
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """A verified surjective homomorphism between two Rees quotients."""
+def quotient_map(source: WordSet, target: WordSet) -> tuple[int, ...]:
+    """The map phi from ``M(source)`` onto ``M(target)`` sending each
+    factor of the source set to itself when it is a factor of the target
+    set, and to zero otherwise, as the target element of each source
+    element.
 
-    source: FiniteMonoid
-    target: FiniteMonoid
-    mapping: tuple[int, ...]
+    Requires the target set to be contained in the source set.  The map
+    is checked to be a surjective homomorphism on the right Cayley graphs
+    of :func:`_factor_graph` alone, by the lemma below; no table is built.
+    A failure names the first element ``s``, and the element of the first
+    letter ``c``, at which phi(s c) differs from phi(s) phi(c).
 
-    def apply(self, element: int) -> int:
-        return self.mapping[element]
+    **Lemma.** If phi(1) = 1, phi(0) = 0 and phi(s c) = phi(s) phi(c)
+    for every element s and every letter c of the source set, then
+    phi(s t) = phi(s) phi(t) for all elements s and t.  Here phi(s) phi(c)
+    is ``delta[phi(s), c]`` of the target, and the zero when c is not a
+    letter of the target set.
 
-
-def quotient_map(source: FiniteMonoid, target: FiniteMonoid) -> QuotientMap:
-    """The map sending each factor of the source set to itself when it
-    remains a factor of the target set, and to zero otherwise.
-
-    Requires the target word set to be contained in the source word set;
-    the homomorphism property and surjectivity are checked exhaustively,
-    as one comparison of ``m[S]`` with ``T[m][:, m]``.  A failure names
-    the first pair ``(s, t)`` in row-major order.
+    **Proof.** Every element t is 1, 0 or a product of letters; induct on
+    the length of t.  For t = 1 and t = 0 both sides are phi(s) and 0.
+    For t = u c, phi(s u c) = phi(s u) phi(c) = phi(s) phi(u) phi(c) =
+    phi(s) phi(u c), by the premise at s u, the induction hypothesis and
+    the premise at u.  This is the argument of Light's test in
+    :func:`~monoidlab.monoid.from_table` (Clifford and Preston, vol. 1,
+    section 1.2).
     """
-    if not target.word_set.issubset(source.word_set):
-        raise NotSubsetError(
-            f"{{{target.word_set}}} is not a subset of {{{source.word_set}}}"
-        )
-    mapping = [target.element_of(lab) for lab in source.elements]
-    m = np.array(mapping, dtype=np.intp)
-    bad = m[source.table] != target.table[np.ix_(m, m)]
+    if not target.issubset(source):
+        raise NotSubsetError(f"{{{target}}} is not a subset of {{{source}}}")
+    src_words, src_code, _, _, src_delta = _factor_graph(source)
+    tgt_words, tgt_code, _, _, tgt_delta = _factor_graph(target)
+    zero = len(tgt_words)
+    tgt_index = {w: i for i, w in enumerate(tgt_words)}
+    phi = np.array([tgt_index.get(w, zero) for w in src_words] + [zero], dtype=np.intp)
+    if phi[0] != 0 or phi[-1] != zero:
+        raise HomomorphismViolationError("map does not fix the identity and the zero")
+    # source letters missing from the target read an appended zero column
+    tgt_delta = np.pad(tgt_delta, ((0, 0), (0, 1)), constant_values=zero)
+    cols = np.array([tgt_code.get(l, len(tgt_code)) for l in src_code], dtype=np.intp)
+    bad = phi[src_delta] != tgt_delta[phi[:, None], cols]
     if bad.any():
-        s, t = divmod(int(np.argmax(bad)), source.order)
+        s, c = divmod(int(np.argmax(bad)), len(cols))
+        t = int(src_delta[0, c])
         raise HomomorphismViolationError(
             f"map is not a homomorphism at ({s}, {t})", witness=(s, t)
         )
-    if set(mapping) != set(range(target.order)):
+    mapping = tuple(phi.tolist())
+    if len(set(mapping)) != zero + 1:
         raise HomomorphismViolationError("map is not surjective")
-    return QuotientMap(source, target, tuple(mapping))
+    return mapping
 
 
 def parse_word_set(text: str) -> WordSet:

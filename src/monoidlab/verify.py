@@ -291,12 +291,9 @@ def _claim_separation_matrix(cfg: VerifyConfig, rows):
 
 
 def _claim_sigma_truncations(cfg: VerifyConfig):
-    sigma = basis("SIGMA")
     # every larger subset holds when these do (see _word_verdicts)
-    for subset in _singletons(cfg.max_n):
-        ws = _word_set_for(subset)
-        for ident in sigma:
-            out = check_rees(ws, ident, cfg.match_budget)
+    for ident in basis("SIGMA"):
+        for subset, out in zip(_singletons(cfg.max_n), _word_verdicts(ident, cfg)):
             if out.status != HOLDS:
                 return FAIL, {
                     "subset": list(subset),
@@ -322,12 +319,10 @@ def _claim_distinct_varieties(cfg: VerifyConfig, rows):
 
 def _claim_quotient_maps(cfg: VerifyConfig):
     subsets = _subsets(cfg.max_n)
-    quotients = {s: rees_quotient(_word_set_for(s)) for s in subsets}
     for big in subsets:
         for small in subsets:
-            if not set(small) <= set(big):
-                continue
-            quotient_map(quotients[big], quotients[small])
+            if set(small) <= set(big):
+                quotient_map(_word_set_for(big), _word_set_for(small))
     return PASS, None
 
 

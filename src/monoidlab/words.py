@@ -49,25 +49,22 @@ class Letter:
         for part in (self.sub, self.sup):
             if part is not None and part < 0:
                 raise ValueError("subscript and superscript must be nonnegative")
-        # Letters key the matcher's and the predicates' dicts, so the hash
-        # is computed once.  Unpickling restores it without recomputing it,
-        # so it is built from ints only, which hash alike under every
-        # PYTHONHASHSEED.
+        # Letters key the matcher's and the predicates' dicts and are sorted
+        # shortlex, so the sort key and its hash are computed once.  An
+        # absent index is -1, below every present one.  Unpickling restores
+        # the hash without recomputing it, so the key holds ints only, which
+        # hash alike under every PYTHONHASHSEED.
         sub = -1 if self.sub is None else self.sub
         sup = -1 if self.sup is None else self.sup
-        object.__setattr__(self, "_hash", hash((ord(self.base), sub, sup)))
+        key = (ord(self.base), sub, sup)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
 
     def sort_key(self) -> tuple:
-        return (
-            self.base,
-            self.sub is not None,
-            self.sub if self.sub is not None else 0,
-            self.sup is not None,
-            self.sup if self.sup is not None else 0,
-        )
+        return self._key
 
     def __lt__(self, other: "Letter") -> bool:
         return self.sort_key() < other.sort_key()

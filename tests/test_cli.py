@@ -154,6 +154,13 @@ def test_budget_exit_code(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_table_limit_exit_code(capsys):
+    word = ".".join(f"a_{i}" for i in range(128))
+    code, out, err = run(capsys, "rees", word)
+    assert code == 3 and out == ""
+    assert "order 8258, above the table limit of 8192" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--monoid", "rees:aabb", "--identity", "xy=yx", "--budget", "-5"],
     ["match", "x", "ab", "--budget", "-1"],

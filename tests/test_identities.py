@@ -118,18 +118,18 @@ def test_evaluate_missing_variable():
 
 def test_evaluate_element_indices():
     m = from_presentation(preset("M_SCRIPT"))
-    a = m.index_of_label("a")
+    a = m.element_of("a")
     phi = Substitution.of({Letter("x"): a})
-    assert evaluate(parse_word("xx"), phi, m) == m.index_of_label("aa")
+    assert evaluate(parse_word("xx"), phi, m) == m.element_of("aa")
     assert evaluate(parse_word("xxx"), phi, m) == m.zero
 
 
 def test_evaluate_accepts_numpy_element_indices():
     m = from_presentation(preset("M_SCRIPT"))
-    a = m.index_of_label("a")
+    a = m.element_of("a")
     aa = m.table[a, a]  # a numpy integer, not an int
     phi = Substitution.of({Letter("x"): aa})
-    assert evaluate(parse_word("x"), phi, m) == m.index_of_label("aa")
+    assert evaluate(parse_word("x"), phi, m) == m.element_of("aa")
     assert evaluate(parse_word("xx"), phi, m) == m.zero
 
 

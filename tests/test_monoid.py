@@ -109,7 +109,7 @@ def test_generating_set_is_the_letters():
     for spec in ("aabb", "wn:1,2", "wn:3"):
         q = rees_quotient(parse_word_set(spec))
         letters = sorted({l for w in q.word_set for l in w.letters})
-        assert [q.label(i) for i in _generators(q.table, q.one)] == [Word((l,)) for l in letters]
+        assert [q.elements[i] for i in _generators(q.table, q.one)] == [Word((l,)) for l in letters]
     for name in ("M_SCRIPT", "A21", "B21"):
         m = from_presentation(preset(name))
         assert [m.label_text(i) for i in _generators(m.table, m.one)] == [
@@ -228,7 +228,7 @@ def test_presented_relations_hold_in_table():
     for name in ("M_SCRIPT", "A21", "B21"):
         p = preset(name)
         m = from_presentation(p)
-        gen_index = {g: m.index_of_label(str(g)) for g in p.generators}
+        gen_index = {g: m.element_of(str(g)) for g in p.generators}
 
         def value(word):
             acc = m.one
@@ -289,7 +289,7 @@ def test_certificate_rejects_a_failing_relation():
         str(x) for x in from_presentation(a21).elements
     ]
     with pytest.raises(NotStabilizedError, match="relation bb = b fails"):
-        monoid_module._certify(a21, b21, {g: b21.index_of_label(str(g)) for g in a21.generators})
+        monoid_module._certify(a21, b21, {g: b21.element_of(str(g)) for g in a21.generators})
 
 
 def test_certificate_rejects_a_representative_off_its_element():

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monoidlab.rees as rees_mod
 from monoidlab import (
     EPSILON,
     HOLDS,
+    BudgetExceededError,
+    HomomorphismViolationError,
     NotSubsetError,
     ParseError,
+    Word,
     WordSet,
     basis,
     check_rees,
@@ -60,7 +69,7 @@ def test_order_formula_against_independent_count():
 
 def test_element_layout():
     q = rees_quotient(ws("aabb"))
-    assert q.label(0) == EPSILON
+    assert q.elements[0] == EPSILON
     assert q.label_text(q.order - 1) == "0"
     labels = [q.label_text(i) for i in range(q.order)]
     assert labels == ["1", "a", "b", "aa", "ab", "bb", "aab", "abb", "aabb", "0"]
@@ -112,26 +121,95 @@ def test_table_entries_are_factor_concatenations(texts):
 
 
 def test_quotient_map_chain():
-    big = rees_quotient(WordSet.of([generate_wn(1), generate_wn(2)]))
-    small = rees_quotient(WordSet.of([generate_wn(1)]))
-    qm = quotient_map(big, small)
-    assert set(qm.mapping) == set(range(small.order))
-    assert qm.apply(big.one) == small.one
-    assert qm.apply(big.zero) == small.zero
+    big = WordSet.of([generate_wn(1), generate_wn(2)])
+    small = WordSet.of([generate_wn(1)])
+    mapping = quotient_map(big, small)
+    big_q, small_q = rees_quotient(big), rees_quotient(small)
+    assert set(mapping) == set(range(small_q.order))
+    assert mapping[big_q.one] == small_q.one
+    assert mapping[big_q.zero] == small_q.zero
     # a factor of w_2 only goes to zero
-    z2 = big.element_of(parse_word("z_2"))
-    assert qm.apply(z2) == small.zero
+    z2 = big_q.element_of(parse_word("z_2"))
+    assert mapping[z2] == small_q.zero
 
 
 def test_quotient_map_identity():
-    q = rees_quotient(ws("aabb"))
-    qm = quotient_map(q, rees_quotient(ws("aabb")))
-    assert qm.mapping == tuple(range(q.order))
+    mapping = quotient_map(ws("aabb"), ws("aabb"))
+    assert mapping == tuple(range(rees_quotient(ws("aabb")).order))
 
 
 def test_quotient_map_not_subset():
     with pytest.raises(NotSubsetError):
-        quotient_map(rees_quotient(ws("aabb")), rees_quotient(ws("abab")))
+        quotient_map(ws("aabb"), ws("abab"))
+
+
+def test_quotient_map_from_and_onto_the_empty_set():
+    # M of the empty set is {1, 0}: the zero is its only generator
+    assert quotient_map(ws(), ws()) == (0, 1)
+    # M(ab) is 1, a, b, ab, 0, and every factor goes to zero
+    assert quotient_map(ws("ab"), ws()) == (0, 1, 1, 1, 1)
+
+
+@functools.cache
+def _family_quotient(indices):
+    return rees_quotient(WordSet.of(generate_wn(k) for k in indices))
+
+
+_SUBSETS_3 = [s for r in range(4) for s in itertools.combinations((1, 2, 3), r)]
+
+
+@pytest.mark.parametrize(
+    "big, small",
+    [(big, small) for big in _SUBSETS_3 for small in _SUBSETS_3 if set(small) <= set(big)],
+)
+def test_quotient_map_agrees_with_the_full_table_comparison(big, small):
+    # the oracle: the label map between the two tables, checked on all
+    # F^2 products
+    S, T = _family_quotient(big), _family_quotient(small)
+    m = np.array([T.element_of(lab) for lab in S.elements], dtype=np.intp)
+    assert (m[S.table] == T.table[np.ix_(m, m)]).all()
+    assert set(m.tolist()) == set(range(T.order))
+    assert quotient_map(S.word_set, T.word_set) == tuple(m.tolist())
+
+
+def test_quotient_map_names_a_corrupted_graph_entry(monkeypatch):
+    source = WordSet.of([generate_wn(1), generate_wn(2)])
+    target = WordSet.of([generate_wn(1)])
+    mapping = quotient_map(source, target)
+    real = rees_mod._factor_graph
+    tgt_words, tgt_code, _, _, tgt_delta = real(target)
+    letter, c = list(tgt_code.items())[-1]
+    # the first nonidentity factor that the last letter extends; zero is a
+    # wrong value for its entry
+    t = next(i for i in range(1, len(tgt_words)) if tgt_delta[i, c] != len(tgt_words))
+
+    def corrupted(word_set):
+        graph = real(word_set)
+        if word_set == target:
+            delta = graph[4].copy()
+            delta[t, c] = len(tgt_words)
+            graph = graph[:4] + (delta,)
+        return graph
+
+    monkeypatch.setattr(rees_mod, "_factor_graph", corrupted)
+    source_q = rees_quotient(source)
+    with pytest.raises(HomomorphismViolationError) as info:
+        quotient_map(source, target)
+    assert info.value.witness == (mapping.index(t), source_q.element_of(Word((letter,))))
+
+
+def test_table_limit_raises_before_building_the_table():
+    # 128 distinct letters have 128 * 129 / 2 nonempty factors
+    word = parse_word(".".join(f"a_{i}" for i in range(128)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="order 8258, above the table limit of 8192"):
+            rees_quotient(WordSet.of([word]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int32 table alone would take 8258^2 * 4 bytes, about 273 MB
+    assert peak < 64 * 2**20, peak
 
 
 def test_identities_survive_quotients():

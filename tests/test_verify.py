@@ -255,3 +255,16 @@ def test_star_property_claim_checks_the_premises_only(monkeypatch):
     monkeypatch.setattr(verify_mod, "length2_profile", lambda w: Length2Profile(False, True))
     got = verify_mod._claim_star_property(VerifyConfig(max_n=3))
     assert got == ("FAIL", {"k": 2, "premise": "length2_unique"})
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("C10 builds a table")
+
+
+def test_quotient_map_claim_builds_no_table(monkeypatch):
+    import monoidlab.rees as rees_mod
+
+    monkeypatch.setattr(verify_mod, "rees_quotient", _no_table)
+    monkeypatch.setattr(rees_mod, "rees_quotient", _no_table)
+    monkeypatch.setattr(rees_mod, "from_table", _no_table)
+    assert verify_mod._claim_quotient_maps(VerifyConfig(max_n=3)) == ("PASS", None)
