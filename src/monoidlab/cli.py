@@ -47,8 +47,8 @@ def _cmd_rees(args) -> int:
     width = max(len(l) for l in labels)
     header = " " * (width + 2) + " ".join(l.rjust(width) for l in labels)
     print(header)
-    for i, row in enumerate(q.table.tolist()):
-        cells = " ".join(labels[v].rjust(width) for v in row)
+    for i, row in enumerate(q.table):
+        cells = " ".join(labels[v].rjust(width) for v in row.tolist())
         print(f"{labels[i].rjust(width)} | {cells}")
     return 0
 
@@ -56,7 +56,7 @@ def _cmd_rees(args) -> int:
 def _cmd_depth(args) -> int:
     w = parse_word(args.word)
     depths = depth_map(w)
-    ordered = sorted(depths.items(), key=lambda kv: kv[0].sort_key())
+    ordered = sorted(depths.items())
     if args.json:
         _print_json({str(l): ("inf" if d == INFINITY else d) for l, d in ordered})
         return 0

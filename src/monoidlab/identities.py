@@ -82,7 +82,7 @@ class Substitution:
 
     @classmethod
     def of(cls, mapping: dict) -> "Substitution":
-        return cls(tuple(sorted(mapping.items(), key=lambda kv: kv[0].sort_key())))
+        return cls(tuple(sorted(mapping.items())))
 
     @classmethod
     def identity_on(cls, alphabet) -> "Substitution":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, HomomorphismViolationError, NotSubsetError, ParseError
 from .monoid import ZERO_LABEL, FiniteMonoid, from_table
-from .words import EPSILON, Word, WordSet, factors, generate_wn, parse_word
+from .words import Word, WordSet, factor_tuples, generate_wn, parse_word
 
 # The largest order rees_quotient builds a table for: 256 MB of int32.
 # It is above every table the claim suite and the tests build, and above
@@ -27,28 +27,27 @@ TABLE_ORDER_LIMIT = 8192
 def _factor_graph(word_set: WordSet):
     """The factors of ``word_set`` and the right Cayley graph of ``M(W)``.
 
-    Returns ``(factor_words, code, parent, last, delta)``.  Element ``i``
-    is ``factor_words[i]``, identity first and the rest shortlex; the zero
-    is element ``len(factor_words)``.  ``code`` numbers the letters of W
-    in order.  The factors form a trie: each nonempty factor ``i`` is
-    factor ``parent[i]`` followed by letter ``last[i]``, and the trie's
-    nodes are exactly the nonzero elements.  ``delta[i, c]`` is the
+    Returns ``(element, code, parent, last, delta)``.  ``element`` maps
+    each factor, a tuple of letters, to its element, in element order:
+    identity first and the rest shortlex; the zero is element
+    ``len(element)``.  ``code`` numbers the letters of W in order.  The
+    factors form a trie: each nonempty factor ``i`` is factor
+    ``parent[i]`` followed by letter ``last[i]``, and the trie's nodes
+    are exactly the nonzero elements.  ``delta[i, c]`` is the
     element of factor ``i`` followed by letter ``c``, or the zero, in
     every row including the zero's.
     """
-    factor_words = sorted(
-        {f for w in word_set for f in factors(w)} | {EPSILON}, key=Word.shortlex_key
-    )
-    index = {w: i for i, w in enumerate(factor_words)}
-    zero = len(factor_words)
+    tuples = factor_tuples(w.letters for w in word_set)
+    element = {t: i for i, t in enumerate(tuples)}
+    zero = len(tuples)
     code = {l: c for c, l in enumerate(sorted({l for w in word_set for l in w.letters}))}
     parent = np.zeros(zero, dtype=np.intp)
     last = np.zeros(zero, dtype=np.intp)
-    parent[1:] = [index[Word(f.letters[:-1])] for f in factor_words[1:]]
-    last[1:] = [code[f.letters[-1]] for f in factor_words[1:]]
+    parent[1:] = [element[t[:-1]] for t in tuples[1:]]
+    last[1:] = [code[t[-1]] for t in tuples[1:]]
     delta = np.full((zero + 1, len(code)), zero, dtype=np.int32)
     delta[parent[1:], last[1:]] = np.arange(1, zero)
-    return factor_words, code, parent, last, delta
+    return element, code, parent, last, delta
 
 
 def rees_quotient(word_set: WordSet) -> FiniteMonoid:
@@ -64,8 +63,8 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     :class:`BudgetExceededError` before allocating a table of more than
     :data:`TABLE_ORDER_LIMIT` elements.
     """
-    factor_words, _, parent, last, delta = _factor_graph(word_set)
-    zero = len(factor_words)
+    element, _, parent, last, delta = _factor_graph(word_set)
+    zero = len(element)
     n = zero + 1
     if n > TABLE_ORDER_LIMIT:
         raise BudgetExceededError(
@@ -73,7 +72,7 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
             n,
             TABLE_ORDER_LIMIT,
         )
-    lengths = [len(f) for f in factor_words]   # sorted, as factor_words is shortlex
+    lengths = [len(t) for t in element]        # sorted, as the factors are shortlex
     cols = np.empty((n, n), dtype=np.int32)    # cols[j] is column j of the table
     cols[0] = np.arange(n)
     cols[zero] = zero
@@ -82,7 +81,8 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
         hi = bisect.bisect_right(lengths, lengths[lo])
         cols[lo:hi] = delta[cols[parent[lo:hi]], last[lo:hi, None]]
         lo = hi
-    monoid = from_table(tuple(factor_words) + (ZERO_LABEL,), 0, cols.T, zero=zero)
+    labels = tuple(Word(t) for t in element) + (ZERO_LABEL,)
+    monoid = from_table(labels, 0, cols.T, zero=zero)
     return dataclasses.replace(monoid, word_set=word_set)
 
 
@@ -114,11 +114,10 @@ def quotient_map(source: WordSet, target: WordSet) -> tuple[int, ...]:
     """
     if not target.issubset(source):
         raise NotSubsetError(f"{{{target}}} is not a subset of {{{source}}}")
-    src_words, src_code, _, _, src_delta = _factor_graph(source)
-    tgt_words, tgt_code, _, _, tgt_delta = _factor_graph(target)
-    zero = len(tgt_words)
-    tgt_index = {w: i for i, w in enumerate(tgt_words)}
-    phi = np.array([tgt_index.get(w, zero) for w in src_words] + [zero], dtype=np.intp)
+    src_element, src_code, _, _, src_delta = _factor_graph(source)
+    tgt_element, tgt_code, _, _, tgt_delta = _factor_graph(target)
+    zero = len(tgt_element)
+    phi = np.array([tgt_element.get(t, zero) for t in src_element] + [zero], dtype=np.intp)
     if phi[0] != 0 or phi[-1] != zero:
         raise HomomorphismViolationError("map does not fix the identity and the zero")
     # source letters missing from the target read an appended zero column

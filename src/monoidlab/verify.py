@@ -38,6 +38,7 @@ from .words import (
     Word,
     WordSet,
     depth_map,
+    factor_tuples,
     generate_wn,
     is_square_free,
     length2_profile,
@@ -487,8 +488,7 @@ def enumerate_small_rees(max_len: int = 8, max_order: int = 10) -> list[tuple[Wo
         for shape in _canonical_shapes(length):
             if sum(c >= 2 for c in Counter(shape).values()) < 2:
                 continue
-            distinct = {shape[i:j] for i in range(length) for j in range(i + 1, length + 1)}
-            order = len(distinct) + 2
+            order = len(factor_tuples([shape])) + 1
             if order <= max_order:
                 results.append((Word(tuple(Letter(chr(ord("a") + v)) for v in shape)), order))
     return results

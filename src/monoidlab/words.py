@@ -34,52 +34,39 @@ INFINITY = float("inf")
 _TOKEN_RE = re.compile(r"([a-z])(?:_(\d+))?(?:\^(\d+))?")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Letter:
-    """An alphabet symbol: lowercase base plus optional sub/superscript."""
+class Letter(tuple):
+    """An alphabet symbol: lowercase base plus optional sub/superscript.
 
-    base: str
-    sub: int | None = None
-    sup: int | None = None
+    A letter is the int tuple ``(ord(base), sub, sup)`` with -1 for an
+    absent index, so equality, hashing and the letter order are the
+    tuple's own, and the hash is the same under every PYTHONHASHSEED.  One
+    consequence: a letter equals the plain tuple of the same ints, e.g.
+    ``Letter("x") == (120, -1, -1)``.  No container in the package mixes
+    letters with raw int tuples.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.base) != 1 or not ("a" <= self.base <= "z"):
-            raise ValueError(f"letter base must be one lowercase ascii letter, got {self.base!r}")
-        for part in (self.sub, self.sup):
-            if part is not None and part < 0:
-                raise ValueError("subscript and superscript must be nonnegative")
-        # Letters key the matcher's and the predicates' dicts and are sorted
-        # shortlex, so the sort key and its hash are computed once.  An
-        # absent index is -1, below every present one.  Unpickling restores
-        # the hash without recomputing it, so the key holds ints only, which
-        # hash alike under every PYTHONHASHSEED.
-        sub = -1 if self.sub is None else self.sub
-        sup = -1 if self.sup is None else self.sup
-        key = (ord(self.base), sub, sup)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, base: str, sub: int | None = None, sup: int | None = None) -> "Letter":
+        if not (isinstance(base, str) and len(base) == 1 and "a" <= base <= "z"):
+            raise ValueError(f"letter base must be one lowercase ascii letter, got {base!r}")
+        for part in (sub, sup):
+            if part is not None and (not isinstance(part, int) or isinstance(part, bool) or part < 0):
+                raise ValueError(f"subscript and superscript must be None or ints >= 0, got {part!r}")
+        return tuple.__new__(cls, (ord(base), -1 if sub is None else sub, -1 if sup is None else sup))
 
-    def sort_key(self) -> tuple:
-        return self._key
+    def __getnewargs__(self) -> tuple:
+        base, sub, sup = self
+        return chr(base), (None if sub < 0 else sub), (None if sup < 0 else sup)
 
-    def __lt__(self, other: "Letter") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    @property
-    def plain(self) -> bool:
-        return self.sub is None and self.sup is None
+    def __repr__(self) -> str:
+        return "Letter(base={!r}, sub={!r}, sup={!r})".format(*self.__getnewargs__())
 
     def __str__(self) -> str:
-        out = self.base
-        if self.sub is not None:
-            out += f"_{self.sub}"
-        if self.sup is not None:
-            out += f"^{self.sup}"
-        return out
+        base, sub, sup = self
+        if sub < 0:
+            return chr(base) if sup < 0 else f"{chr(base)}^{sup}"
+        return f"{chr(base)}_{sub}" if sup < 0 else f"{chr(base)}_{sub}^{sup}"
 
 
 @total_ordering
@@ -105,7 +92,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def shortlex_key(self) -> tuple:
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+        return (len(self.letters), self.letters)
 
     def __lt__(self, other: "Word") -> bool:
         return self.shortlex_key() < other.shortlex_key()
@@ -115,11 +102,12 @@ class Word:
         return frozenset(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
+        ls = self.letters
+        if not ls:
             return "1"
-        if all(l.plain for l in self.letters):
-            return "".join(l.base for l in self.letters)
-        return ".".join(str(l) for l in self.letters)
+        if all(sub < 0 and sup < 0 for _, sub, sup in ls):
+            return "".join([chr(base) for base, _, _ in ls])
+        return ".".join(map(str, ls))
 
 
 EPSILON = Word()
@@ -213,15 +201,20 @@ def letter_positions(w: Word) -> dict[Letter, list[int]]:
     return positions
 
 
+def factor_tuples(sequences) -> list[tuple]:
+    """The distinct contiguous factors of some tuples, the empty one
+    included, sorted shortlex: by length, then by element."""
+    seen = {()}
+    for seq in sequences:
+        n = len(seq)
+        seen.update(seq[i:j] for i in range(n) for j in range(i + 1, n + 1))
+    # the sort by length is stable, so each length keeps the element order
+    return sorted(sorted(seen), key=len)
+
+
 def factors(w: Word) -> list[Word]:
     """All contiguous factors of ``w`` including the empty word, shortlex sorted."""
-    seen = {()}
-    ls = w.letters
-    n = len(ls)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            seen.add(ls[i:j])
-    return sorted((Word(t) for t in seen), key=Word.shortlex_key)
+    return [Word(t) for t in factor_tuples([w.letters])]
 
 
 def depth_map(w: Word) -> dict[Letter, int | float]:

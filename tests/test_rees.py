@@ -177,17 +177,17 @@ def test_quotient_map_names_a_corrupted_graph_entry(monkeypatch):
     target = WordSet.of([generate_wn(1)])
     mapping = quotient_map(source, target)
     real = rees_mod._factor_graph
-    tgt_words, tgt_code, _, _, tgt_delta = real(target)
+    tgt_element, tgt_code, _, _, tgt_delta = real(target)
     letter, c = list(tgt_code.items())[-1]
     # the first nonidentity factor that the last letter extends; zero is a
     # wrong value for its entry
-    t = next(i for i in range(1, len(tgt_words)) if tgt_delta[i, c] != len(tgt_words))
+    t = next(i for i in range(1, len(tgt_element)) if tgt_delta[i, c] != len(tgt_element))
 
     def corrupted(word_set):
         graph = real(word_set)
         if word_set == target:
             delta = graph[4].copy()
-            delta[t, c] = len(tgt_words)
+            delta[t, c] = len(tgt_element)
             graph = graph[:4] + (delta,)
         return graph
 

@@ -12,19 +12,24 @@ from hypothesis import strategies as st
 from monoidlab import (
     EPSILON,
     Length2Profile,
+    Letter,
     Substitution,
     VerifyConfig,
+    Word,
+    WordSet,
     check_star_property,
     cross_check_checkers,
     enumerate_small_rees,
     generate_wn,
     parse_identity,
     parse_word,
+    rees_quotient,
     run_claims,
     scan_matches,
     separation_identity,
 )
 from monoidlab.identities import FAILS, HOLDS, CheckOutcome
+from monoidlab.words import factor_tuples
 import monoidlab.verify as verify_mod
 
 
@@ -104,6 +109,15 @@ def test_enumerate_tighter_order():
 
 def test_enumerate_short_words():
     assert enumerate_small_rees(max_len=3) == []
+
+
+def test_factor_count_is_the_quotient_order_on_canonical_shapes():
+    # C14 reads each order off the factor count; the table builder checks it
+    for length in range(1, 7):
+        for shape in verify_mod._canonical_shapes(length):
+            word = Word(tuple(Letter(chr(ord("a") + v)) for v in shape))
+            order = rees_quotient(WordSet.of([word])).order
+            assert len(factor_tuples([shape])) + 1 == order, shape
 
 
 def test_cross_check_small_run():

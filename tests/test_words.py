@@ -53,11 +53,42 @@ def test_letter_validation():
         Letter("ab")
     with pytest.raises(ValueError):
         Letter("a", sub=-1)
+    # an index is None or a non-bool int, so none of these can be printed
+    # as a letter that equals it or parses back
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(ValueError):
+            Letter("a", bad)
+        with pytest.raises(ValueError):
+            Letter("a", 1, bad)
+
+
+letter_parts = st.tuples(
+    st.sampled_from("abxyz"),
+    st.one_of(st.none(), st.integers(0, 12)),
+    st.one_of(st.none(), st.integers(0, 12)),
+)
+
+
+def _documented_key(base, sub, sup):
+    return (ord(base), -1 if sub is None else sub, -1 if sup is None else sup)
+
+
+@given(letter_parts, letter_parts)
+def test_letter_equality_hash_and_order_are_the_keys(p, q):
+    a, b = Letter(*p), Letter(*q)
+    ka, kb = _documented_key(*p), _documented_key(*q)
+    assert (a == b) == (ka == kb)
+    assert hash(a) == hash(ka)
+    assert (a < b) == (ka < kb)
+    # a dot makes the text dotted, where a caret is always a superscript
+    assert parse_word(f"{a}.{b}") == Word((a, b))
+    loaded = pickle.loads(pickle.dumps(a))
+    assert type(loaded) is Letter and loaded == a and repr(loaded) == repr(a)
 
 
 def test_letter_hash_survives_pickling_across_hash_seeds():
-    # a letter caches its hash and unpickling restores the cached value, so
-    # letters pickled by a process with another PYTHONHASHSEED must still
+    # a letter hashes as its tuple of ints, which no PYTHONHASHSEED changes,
+    # so letters pickled by a process with another PYTHONHASHSEED must still
     # find their entries in a dict keyed by fresh equal letters
     import monoidlab
 
