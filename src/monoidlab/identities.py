@@ -332,6 +332,27 @@ def _scan_matches(
     block, so when it changes every open prefix equals it and the
     remembered block is dropped.  Only keys below the best reach
     ``on_match``.
+
+    A dead-state memo keeps the walk from proving the same dead end once
+    per path.  The state of block d is (d, its start in the target, the
+    images of the variables bound before d that are read again at or after
+    d); those are the variables of ``room_terms[d]``.  When the subtree of
+    a block is exhausted with no ``on_match`` call and no bound cut, its
+    state is recorded dead together with its mask of erased variables (one
+    mask per state, the last recorded).  A later block with the same state
+    is skipped when its mask contains the recorded one.  That is sound:
+    below block d the room, run and occurrence-count checks read only the
+    target, the live images and what the subtree binds, so both openings
+    try the same candidates, and the trivial-erasure cut is upward-closed
+    in the mask, so the larger mask cuts at least as much.  With the bound
+    set aside, the skipped subtree therefore has no complete match either.
+    The bound reads images that need not be live, which is why a subtree
+    with a bound cut is never recorded; a skipped block counts as neither,
+    since it has nothing to report with or without the bound.  The memo
+    is sound whatever it keeps, so dropping a record costs only nodes.
+    Only subtrees that report nothing are skipped, so ``on_match`` sees
+    exactly the calls of the walk without the memo, in the same order,
+    and only the node count falls.
     """
     variables = sorted(pattern.alphabet)
     var_index = {v: i for i, v in enumerate(variables)}
@@ -398,6 +419,15 @@ def _scan_matches(
     seen = None  # the best key that less_at refers to
     less_at = k  # extending block where the path fell below seen, else k
 
+    # The dead-state memo; live[d] reads the images in the state of block d.
+    live = [
+        operator.itemgetter(*[j for j, _ in terms]) if terms else None for terms in room_terms
+    ]
+    dead: dict[tuple, int] = {}  # state -> mask its subtree was dead under
+    states: list[tuple | None] = [None] * k  # state of open block d
+    marks = [0] * k  # events when block d opened
+    events = 0  # on_match calls plus bound cuts so far
+
     values: list[str | None] = [None] * k
     low = 0 if erasing else 1
     tick = budget.tick
@@ -425,6 +455,8 @@ def _scan_matches(
         while d >= 0:
             step = nxt[d]
             if step > top[d]:
+                if d and events == marks[d]:
+                    dead[states[d]] = masks[d]
                 d -= 1
                 continue
             nxt[d] = step + 1
@@ -466,17 +498,26 @@ def _scan_matches(
                                 i += 1
                             if i < b:
                                 if (len(values[i]), values[i]) > key[i]:
+                                    events += 1
                                     continue
                                 less_at = d
                             elif b == k:
+                                events += 1
                                 continue
                             else:
                                 less_at = k
                 if d == last:
+                    events += 1
                     on_match(values, start, end)
                 else:
-                    d += 1
-                    open_block(d, end, mask)
+                    images = live[d + 1]
+                    state = (d + 1, end, images(values)) if images else (d + 1, end)
+                    m = dead.get(state)
+                    if m is None or m & mask != m:
+                        d += 1
+                        states[d] = state
+                        marks[d] = events
+                        open_block(d, end, mask)
 
 
 def match_pattern(
@@ -558,9 +599,12 @@ def check_rees(
     every subtree whose bound prefix of sorted variables already compares
     greater than the best key, or equal to all of it (see
     :func:`_scan_matches`).  The witness is the one the full walk would
-    keep; a search that finds no mismatch sets no bound and walks exactly
-    the same nodes.  ``evaluations`` counts the matches examined that
-    were neither trivial nor cut by the bound.
+    keep, and a search that finds no mismatch sets no bound.  The matcher
+    also skips every block whose state it has already shown to be a dead
+    end, a subtree with no match to report (its dead-state memo), so a
+    HOLDS search proves each dead end once per state and not once per
+    path.  ``evaluations`` counts the matches examined that were neither
+    trivial nor cut by the bound, and the memo leaves it unchanged.
     """
     alf_l = ident.lhs.alphabet
     alf_r = ident.rhs.alphabet

@@ -13,6 +13,9 @@ Text syntax, accepted by :func:`parse_word` and emitted by ``str()``:
   denotes repetition (``x^3`` parses as ``xxx``),
 * dotted: tokens separated by ``.``, each ``base[_sub][^sup]``, e.g.
   ``z_1.t_1.x.z_1.y_1^1.x.y_1^0.y_1^1``; here a caret is a superscript,
+  and one trailing dot is allowed, which is how a one-letter word with a
+  superscript and no subscript is spelled (``y^2.``, as ``y^2`` is
+  compact for ``yy``),
 * the empty word is spelled ``1``.
 
 A text is parsed in dotted mode exactly when it contains a dot or an
@@ -107,6 +110,9 @@ class Word:
             return "1"
         if all(sub < 0 and sup < 0 for _, sub, sup in ls):
             return "".join([chr(base) for base, _, _ in ls])
+        if len(ls) == 1 and ls[0][1] < 0:
+            # the trailing dot keeps y^2 dotted when read back
+            return f"{ls[0]}."
         return ".".join(map(str, ls))
 
 
@@ -116,7 +122,7 @@ EPSILON = Word()
 def _parse_dotted(text: str) -> list[Letter]:
     out = []
     pos = 0
-    for raw in text.split("."):
+    for raw in text.removesuffix(".").split("."):
         tok = raw.strip()
         if not tok:
             raise ParseError("empty token in dotted word", pos)

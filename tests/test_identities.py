@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -331,6 +332,46 @@ def naive_matches(pattern, target, erasing):
     return out
 
 
+def naive_scan(pattern, target, erasing=True):
+    """Every factor match of the pattern into the target, once per start
+    position, by plain recursion over the pattern letters: no memo, no
+    erasure cut and no bound."""
+    letters = target.letters
+    variables = sorted(pattern.alphabet)
+    out = []
+
+    def walk(i, pos, phi):
+        if i == len(pattern):
+            out.append(Substitution.of({v: Word(phi[v]) for v in variables}))
+            return
+        c = pattern.letters[i]
+        if c in phi:
+            if letters[pos : pos + len(phi[c])] == phi[c]:
+                walk(i + 1, pos + len(phi[c]), phi)
+            return
+        for end in range(pos + (not erasing), len(letters) + 1):
+            phi[c] = letters[pos:end]
+            walk(i + 1, end, phi)
+        phi.pop(c, None)
+
+    for start in range(len(letters) + 1):
+        walk(0, start, {})
+    return out
+
+
+def test_scan_matches_stream_is_the_naive_multiset():
+    # one entry per start position: the memo skips only subtrees that
+    # report nothing, so no match is lost or repeated
+    rng = random.Random(23)
+    for _ in range(120):
+        pattern = Word(tuple(Letter(rng.choice("xyz")) for _ in range(rng.randint(1, 5))))
+        target = Word(tuple(Letter(rng.choice("abc")) for _ in range(rng.randint(0, 7))))
+        erasing = rng.random() < 0.5
+        streamed: list = []
+        scan_matches(pattern, target, streamed.append, erasing)
+        assert Counter(streamed) == Counter(naive_scan(pattern, target, erasing))
+
+
 def test_match_pattern_complete_on_small_inputs():
     rng = random.Random(11)
     for _ in range(120):
@@ -391,12 +432,19 @@ def test_check_rees_separation_diagonal_three_default_budget():
 
 def test_check_rees_holds_search_pays_nothing_for_the_bound():
     # a search that finds no mismatch never sets a best key, so it walks
-    # exactly the nodes of the unbounded walk: 187,668 for sep(2) in w_3
+    # exactly the nodes of the unbounded walk of both sides, memo included:
+    # 24,828 for sep(2) in w_3
     word_set, ident = WordSet.of([generate_wn(3)]), separation_identity(2)
-    assert check_rees(word_set, ident, budget=187_668).status == HOLDS
+    coding = identities._Coding(generate_wn(3).alphabet)
+    unbounded = identities._Budget(10**9)
+    for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
+        for w in word_set:
+            identities._scan_matches(u, coding.encode(w), True, unbounded, lambda *m: None, other=v)
+    assert unbounded.spent == 24_828
+    assert check_rees(word_set, ident, budget=24_828).status == HOLDS
     with pytest.raises(BudgetExceededError) as info:
-        check_rees(word_set, ident, budget=187_667)
-    assert info.value.spent == 187_668
+        check_rees(word_set, ident, budget=24_827)
+    assert info.value.spent == 24_828
 
 
 @pytest.mark.stretch
@@ -423,10 +471,10 @@ def test_check_rees_witness_revalidates():
 
 
 def reference_rees(word_set, ident):
-    """check_rees rebuilt without the erasure prune or the least-witness
-    bound: the alphabet rule, then every match of either side through
-    scan_matches, keeping the least mismatch with each image compared
-    shortlex in variable order."""
+    """check_rees rebuilt without the erasure prune, the least-witness
+    bound or the dead-state memo: the alphabet rule, then every match of
+    either side through :func:`naive_scan`, keeping the least mismatch with
+    each image compared shortlex in variable order."""
     alf_l, alf_r = ident.lhs.alphabet, ident.rhs.alphabet
     if alf_l != alf_r:
         lone = min(alf_l ^ alf_r)
@@ -434,15 +482,11 @@ def reference_rees(word_set, ident):
     best = None
     for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
         for w in word_set:
-
-            def on_match(sub, u=u, v=v):
-                nonlocal best
+            for sub in naive_scan(u, w):
                 if sub.apply(u) != sub.apply(v):
                     key = tuple(image.shortlex_key() for _, image in sub.assignment)
                     if best is None or key < best[0]:
                         best = (key, sub)
-
-            scan_matches(u, w, on_match)
     return (HOLDS, None) if best is None else (FAILS, best[1])
 
 
@@ -471,6 +515,16 @@ side_pairs = st.tuples(side_texts, side_texts) | side_texts.flatmap(
 # old one, so the cached comparison must be refreshed:
 @example(ws("ab"), ("yyx", "xyx"))
 @example(ws("accc"), ("xzyx", "xyz"))
+# The memo's masks: in the yzx pass the block of x at position 2 is
+# recorded dead under the erasure {y}, then opens with nothing erased and
+# finds the witness {x -> 1, y -> a, z -> b}; the block of z at position 2
+# is recorded dead with nothing erased, then skipped under {y}:
+@example(ws("ab"), ("xxzy", "yzx"))
+# A subtree with a bound cut is not recorded: x at position 2 first opens
+# under z -> ba, worse than the best z -> b, and the bound cuts x -> 1;
+# it opens again under z -> a, where {x -> 1, z -> a} is the new least
+# witness:
+@example(ws("ba"), ("zx", "xzz"))
 def test_check_rees_matches_unpruned_reference(word_set, sides):
     ident = Identity(*map(parse_word, sides))
     out = check_rees(word_set, ident)

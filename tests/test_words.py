@@ -139,8 +139,14 @@ def test_parse_empty_word_spelling():
 
 
 def test_emit_roundtrip_examples():
-    for text in ("aabb", "abab", W1_TEXT, "1", "z_1"):
+    for text in ("aabb", "abab", W1_TEXT, "1", "z_1", "y^2.", "x.y^2"):
         assert str(parse_word(text)) == text
+    # a superscript without a subscript: alone the word needs its trailing
+    # dot, since y^2 is compact for yy
+    assert parse_word("y^2.") == Word((Letter("y", None, 2),))
+    assert parse_word("y^2") == parse_word("yy")
+    with pytest.raises(ParseError):
+        parse_word("y^2..")
 
 
 def test_word_concat_and_order():
@@ -295,7 +301,7 @@ def test_wordset_normalization():
 
 
 letters = st.builds(
-    lambda base, sub, sup: Letter(base, sub, sup if sub is not None else None),
+    Letter,
     st.sampled_from("abcxyz"),
     st.one_of(st.none(), st.integers(0, 3)),
     st.one_of(st.none(), st.integers(0, 3)),
