@@ -227,21 +227,10 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     return CheckOutcome(HOLDS, None, total)
 
 
-class _Budget:
-    __slots__ = ("limit", "spent")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.spent = 0
-
-    def tick(self) -> None:
-        self.spent += 1
-        if self.spent > self.limit:
-            raise BudgetExceededError(
-                f"matcher budget of {self.limit} backtracking nodes exhausted",
-                self.spent,
-                self.limit,
-            )
+def _matcher_exhausted(limit: int, spent: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"matcher budget of {limit} backtracking nodes exhausted", spent, limit
+    )
 
 
 # Letters are coded as supplementary private-use code points (planes 15
@@ -291,13 +280,15 @@ def _scan_matches(
     pattern: Word,
     target: str,
     erasing: bool,
-    budget: _Budget,
+    limit: int,
+    spent: int,
     on_match,
     other: Word | None = None,
     best: list | None = None,
-) -> None:
+) -> int:
     """Drive ``on_match(values, start, end)`` over every factor match of
-    the pattern into the coded target.
+    the pattern into the coded target, and return ``spent`` plus the
+    nodes this walk took.
 
     ``values`` holds one coded segment per pattern variable in sorted
     variable order and is mutated in place; callbacks must copy whatever
@@ -310,7 +301,9 @@ def _scan_matches(
     nonempty image of a variable occurring k times must have at least k
     disjoint occurrences in the target, and segments already bound in the
     rest of the pattern must still fit into the remaining room.  Every
-    start position and every candidate binding costs one budget tick.
+    start position and every candidate binding is one node, and the walk
+    raises :class:`BudgetExceededError` at the node that takes the count
+    past ``limit``.
 
     With ``other`` given (a word over the same variables), a match whose
     erased variables E already make ``pattern`` and ``other`` equal as
@@ -430,7 +423,6 @@ def _scan_matches(
 
     values: list[str | None] = [None] * k
     low = 0 if erasing else 1
-    tick = budget.tick
     count = target.count
     startswith = target.startswith
     base = [0] * k  # target position where block d starts
@@ -449,7 +441,9 @@ def _scan_matches(
 
     last = k - 1
     for start in range(n + 1):
-        tick()
+        spent += 1
+        if spent > limit:
+            raise _matcher_exhausted(limit, spent)
         open_block(0, start, 0)
         d = 0
         while d >= 0:
@@ -460,7 +454,9 @@ def _scan_matches(
                 d -= 1
                 continue
             nxt[d] = step + 1
-            tick()
+            spent += 1
+            if spent > limit:
+                raise _matcher_exhausted(limit, spent)
             vi = block_var[d]
             e0 = base[d]
             seg = target[e0 : e0 + step]
@@ -518,6 +514,7 @@ def _scan_matches(
                         states[d] = state
                         marks[d] = events
                         open_block(d, end, mask)
+    return spent
 
 
 def match_pattern(
@@ -542,7 +539,7 @@ def match_pattern(
     def on_match(values, start, end):
         found.add(tuple(values))
 
-    _scan_matches(pattern, coding.encode(target), erasing, _Budget(budget), on_match)
+    _scan_matches(pattern, coding.encode(target), erasing, budget, 0, on_match)
     return [coding.substitution(variables, vals) for vals in sorted(found, key=_values_key)]
 
 
@@ -569,7 +566,7 @@ def scan_matches(
     def handle(values, start, end):
         on_match(coding.substitution(variables, values))
 
-    _scan_matches(pattern, coding.encode(target), erasing, _Budget(budget), handle)
+    _scan_matches(pattern, coding.encode(target), erasing, budget, 0, handle)
 
 
 def check_rees(
@@ -614,7 +611,7 @@ def check_rees(
         return CheckOutcome(FAILS, Substitution.of(assignment), 1)
     if ident.lhs == ident.rhs:
         return CheckOutcome(HOLDS, None, 0)
-    counter = _Budget(budget)
+    spent = 0  # matcher nodes, summed over every scan
     # one coding for the whole set, so witness keys compare across words
     coding = _Coding(frozenset().union(*(w.alphabet for w in word_set)))
     variables = sorted(alf_l)
@@ -634,7 +631,7 @@ def check_rees(
                     # the bound lets through only keys below the best
                     best_key[0], best_vals = _values_key(values), tuple(values)
 
-            _scan_matches(u, tgt, True, counter, on_match, other=v, best=best_key)
+            spent = _scan_matches(u, tgt, True, budget, spent, on_match, other=v, best=best_key)
     if best_vals is not None:
         return CheckOutcome(FAILS, coding.substitution(variables, best_vals), examined)
     return CheckOutcome(HOLDS, None, examined)

@@ -164,9 +164,22 @@ def _separation_rows(cfg: VerifyConfig):
     """``rows(n)``: the :func:`_word_verdicts` row of sep(n), computed at
     most once per returned function.  C7 reads the rows as the separation
     matrix and C9 derives its subset verdicts from them, so one matrix
-    serves both.  A row that raises is not stored and is tried again on
-    the next call."""
-    return functools.cache(lambda n: _word_verdicts(separation_identity(n), cfg))
+    serves both.  A row that runs out of budget stores its
+    :class:`BudgetExceededError`, and every later call raises that same
+    error: the search is deterministic, so it would run out again."""
+    memo: dict[int, list[CheckOutcome] | BudgetExceededError] = {}
+
+    def rows(n: int) -> list[CheckOutcome]:
+        if n not in memo:
+            try:
+                memo[n] = _word_verdicts(separation_identity(n), cfg)
+            except BudgetExceededError as exc:
+                memo[n] = exc
+        if isinstance(memo[n], BudgetExceededError):
+            raise memo[n]
+        return memo[n]
+
+    return rows
 
 
 def _claim_orders(cfg: VerifyConfig):
@@ -462,35 +475,46 @@ def _claim_cross_check(cfg: VerifyConfig):
     return PASS, None
 
 
-def _canonical_shapes(length: int):
-    """Restricted-growth tuples of the given length in lexicographic order,
-    one per letter-renaming class of words: value v spells the letter
-    ``chr(ord("a") + v)``, and letters first appear in the order a, b, c, ..."""
-
-    def extend(prefix: list[int], used: int):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for v in range(used + 1):
-            prefix.append(v)
-            yield from extend(prefix, max(used, v + 1))
-            prefix.pop()
-
-    return extend([], 0)
-
-
 def enumerate_small_rees(max_len: int = 8, max_order: int = 10) -> list[tuple[Word, int]]:
     """Canonical words with two letters each repeated whose quotient has
     order at most ``max_order``, in shortlex order; orders come from the
-    factor count."""
+    factor count.
+
+    A canonical word is a restricted-growth shape, one per letter-renaming
+    class of words: value v spells the letter ``chr(ord("a") + v)``, and
+    letters first appear in the order a, b, c, ...  The search walks the
+    shapes level by level and extends a shape only while its order (its
+    distinct factors, the empty one included, plus the zero) is at most
+    ``max_order``.
+
+    **Lemma.** The walk reaches every shape of length at most ``max_len``
+    and order at most ``max_order``, and each level comes out in
+    lexicographic order.
+
+    **Proof.** Every factor of a prefix is a factor of the word, so the
+    order never falls along an extension, and every prefix of a
+    qualifying shape qualifies.  Every prefix of a restricted-growth shape
+    is one, so a qualifying shape is reached from its prefixes.  A level
+    is extended in its own order, each shape by increasing next values,
+    so the next level is sorted too, and the results come out in shortlex
+    order.  A word of length L has the L + 1
+    distinct prefixes as factors, so its order is at least L + 2 and the
+    walk ends by itself after length ``max_order - 2``.
+    """
     results = []
-    for length in range(1, max_len + 1):
-        for shape in _canonical_shapes(length):
-            if sum(c >= 2 for c in Counter(shape).values()) < 2:
-                continue
-            order = len(factor_tuples([shape])) + 1
-            if order <= max_order:
-                results.append((Word(tuple(Letter(chr(ord("a") + v)) for v in shape)), order))
+    level = [()]
+    while level and len(level[0]) < max_len:
+        grown = []
+        for shape in level:
+            for v in range(max(shape, default=-1) + 2):
+                longer = shape + (v,)
+                order = len(factor_tuples([longer])) + 1
+                if order > max_order:
+                    continue
+                grown.append(longer)
+                if sum(c >= 2 for c in Counter(longer).values()) >= 2:
+                    results.append((Word(tuple(Letter(chr(ord("a") + i)) for i in longer)), order))
+        level = grown
     return results
 
 

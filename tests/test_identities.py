@@ -436,11 +436,13 @@ def test_check_rees_holds_search_pays_nothing_for_the_bound():
     # 24,828 for sep(2) in w_3
     word_set, ident = WordSet.of([generate_wn(3)]), separation_identity(2)
     coding = identities._Coding(generate_wn(3).alphabet)
-    unbounded = identities._Budget(10**9)
+    spent = 0
     for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
         for w in word_set:
-            identities._scan_matches(u, coding.encode(w), True, unbounded, lambda *m: None, other=v)
-    assert unbounded.spent == 24_828
+            spent = identities._scan_matches(
+                u, coding.encode(w), True, 10**9, spent, lambda *m: None, other=v
+            )
+    assert spent == 24_828
     assert check_rees(word_set, ident, budget=24_828).status == HOLDS
     with pytest.raises(BudgetExceededError) as info:
         check_rees(word_set, ident, budget=24_827)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoidlab import (
+    BudgetExceededError,
     EPSILON,
     Length2Profile,
     Letter,
@@ -111,13 +112,71 @@ def test_enumerate_short_words():
     assert enumerate_small_rees(max_len=3) == []
 
 
+def _restricted_growth_shapes(length: int):
+    """Brute-force oracle: every restricted-growth tuple of the given
+    length, one per letter-renaming class of words, in lexicographic
+    order."""
+
+    def extend(prefix: list[int], used: int):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for v in range(used + 1):
+            prefix.append(v)
+            yield from extend(prefix, max(used, v + 1))
+            prefix.pop()
+
+    return extend([], 0)
+
+
 def test_factor_count_is_the_quotient_order_on_canonical_shapes():
     # C14 reads each order off the factor count; the table builder checks it
     for length in range(1, 7):
-        for shape in verify_mod._canonical_shapes(length):
+        for shape in _restricted_growth_shapes(length):
             word = Word(tuple(Letter(chr(ord("a") + v)) for v in shape))
             order = rees_quotient(WordSet.of([word])).order
             assert len(factor_tuples([shape])) + 1 == order, shape
+
+
+def test_enumerate_equals_the_brute_force_search():
+    # every shape of length <= 8 (5,295 of them), in shortlex order, with
+    # its order and whether two of its letters repeat
+    shapes = [
+        (shape, len(factor_tuples([shape])) + 1, sum(c >= 2 for c in Counter(shape).values()) >= 2)
+        for length in range(1, 9)
+        for shape in _restricted_growth_shapes(length)
+    ]
+    for max_len in range(9):
+        for max_order in range(13):
+            want = [
+                ("".join(chr(ord("a") + v) for v in shape), order)
+                for shape, order, repeated in shapes
+                if repeated and len(shape) <= max_len and order <= max_order
+            ]
+            got = [(str(w), o) for w, o in enumerate_small_rees(max_len, max_order)]
+            assert got == want, (max_len, max_order)
+
+
+def test_enumerate_examines_only_shapes_within_the_order(monkeypatch):
+    # a search of every shape up to length 12 would examine 5,034,584
+    calls = 0
+    real = verify_mod.factor_tuples
+
+    def counting(sequences):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise AssertionError("the search examines shapes past the order bound")
+        return real(sequences)
+
+    monkeypatch.setattr(verify_mod, "factor_tuples", counting)
+    assert enumerate_small_rees(max_len=12, max_order=3) == []
+    calls = 0
+    assert [(str(w), o) for w, o in enumerate_small_rees()] == [
+        ("aabb", 10),
+        ("abab", 9),
+        ("abba", 10),
+    ]
 
 
 def test_cross_check_small_run():
@@ -219,8 +278,28 @@ def test_run_claims_checks_each_separation_entry_once(monkeypatch):
         assert len(counts) == 6 and set(counts.values()) == {1}, counts
 
 
+def test_separation_budget_error_is_checked_once_for_both_claims(monkeypatch):
+    entry = (WordSet.of([generate_wn(2)]), separation_identity(2))
+    error = BudgetExceededError("matcher budget of 10 backtracking nodes exhausted", 11, 10)
+    counts = Counter()
+    real = verify_mod.check_rees
+
+    def raising(word_set, ident, budget):
+        counts[word_set, ident] += 1
+        if (word_set, ident) == entry:
+            raise error
+        return real(word_set, ident, budget)
+
+    monkeypatch.setattr(verify_mod, "check_rees", raising)
+    by_id = {c.id: c for c in run_claims(VerifyConfig(max_n=2)).claims}
+    assert by_id["C7"].status == by_id["C9"].status == "BUDGET"
+    assert by_id["C7"].witness == by_id["C9"].witness == {"error": str(error)}
+    # C9 re-raises the error stored by C7's row instead of checking again
+    assert counts[entry] == 1
+
+
 def test_zero_match_budget_exhausts_both_separation_claims():
-    # a row that ran out of budget in C7 is not stored, so C9 runs out too
+    # C9 re-raises the budget error that C7's row stored
     report = run_claims(VerifyConfig(max_n=2, match_budget=0))
     by_id = {c.id: c.status for c in report.claims}
     assert by_id["C7"] == by_id["C9"] == "BUDGET"
