@@ -1,14 +1,14 @@
 """Finite monoids as validated multiplication tables.
 
-Tables can be given directly or constructed from a finite presentation by
-bounded congruence closure.  Element labels are either words (over the
-generators, or over the ambient alphabet for word quotients) or opaque
-strings such as ``"0"`` for a reserved zero class.
+Tables can be given directly or read off a right Cayley graph by one
+gather: the factor graph of a word set (:mod:`monoidlab.rees`), or the
+bounded congruence closure of a finite presentation.  Element labels are
+either words (over the generators, or over the ambient alphabet for word
+quotients) or opaque strings such as ``"0"`` for a reserved zero class.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +22,7 @@ from .errors import (
     EmptyGeneratorsError,
     NonAssociativeError,
     NotStabilizedError,
+    ParseError,
     UnknownPresetError,
 )
 from .words import EPSILON, Letter, Word, WordSet, parse_word
@@ -102,9 +103,11 @@ class FiniteMonoid:
     def from_json_dict(data: dict) -> "FiniteMonoid":
         labels = []
         for text in data["elements"]:
+            if not isinstance(text, str):
+                raise ValueError(f"element label {text!r} is not a string")
             try:
                 labels.append(parse_word(text))
-            except Exception:
+            except ParseError:
                 labels.append(text)
         return from_table(tuple(labels), data["one"], data["table"], zero=data.get("zero"))
 
@@ -224,6 +227,36 @@ def from_table(elements, one: int, table, zero: int | None = None) -> FiniteMono
     return FiniteMonoid(elems, one, T, zero)
 
 
+def _cayley_table(parent, last, delta, zero: int | None) -> np.ndarray:
+    """The multiplication table of a monoid read off its right Cayley graph.
+
+    ``delta[i, c]`` is element ``i`` times generator ``c``, in every row.
+    The elements other than the zero are the nodes of a spanning tree
+    rooted at the identity, element 0: node ``j > 0`` is node
+    ``parent[j]`` times generator ``last[j]``, and ``parent`` never
+    decreases, as in a shortlex walk.  The zero, when given, absorbs.
+    The identity ``x (p c) = (x p) c`` makes column ``j`` one gather,
+    ``T[:, j] = delta[T[:, parent(j)], last(j)]``.  A run of nodes whose
+    parents all come before it is gathered at once, which for a shortlex
+    walk is one gather per length: O(n^2) numpy work and O(n) Python
+    steps for n elements.  The caller validates the result with
+    :func:`from_table`.
+    """
+    parent = np.asarray(parent, dtype=np.intp)
+    last = np.asarray(last, dtype=np.intp)
+    n = delta.shape[0]
+    cols = np.empty((n, n), dtype=np.int32)    # cols[j] is column j of the table
+    cols[0] = np.arange(n)
+    if zero is not None:
+        cols[zero] = zero
+    lo = 1
+    while lo < len(parent):
+        hi = int(np.searchsorted(parent, lo))  # the first node whose parent is lo or later
+        cols[lo:hi] = delta[cols[parent[lo:hi]], last[lo:hi, None]]
+        lo = hi
+    return cols.T
+
+
 def multiply(m: FiniteMonoid, s: int, t: int) -> int:
     """Product of two elements by table lookup."""
     return m.mul(s, t)
@@ -308,9 +341,20 @@ def _occurrences(haystack: tuple, needle: tuple) -> list[int]:
 
 
 def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter, int]]:
-    """The table of the word classes at ``bound``, and each generator's
-    element, read from its class: a generator can merge into a shorter
-    class, the identity or the zero."""
+    """The table of the presented monoid from the word classes at
+    ``bound``, and each generator's element.
+
+    A union-find closes the words of length at most ``bound`` under the
+    relations.  A shortlex walk of the right Cayley graph then starts at
+    the identity and, for each class it has found, in order, follows the
+    class's label times each generator; a class is labeled by the first
+    word that reaches it, and the zero class goes to the zero.  The walk
+    gives the graph ``delta`` and its spanning tree (``parent``, ``last``)
+    to :func:`_cayley_table`, and raises :class:`NotStabilizedError` when
+    a label times a generator leaves the bound.  A generator's element is
+    the identity's edge, which can lead to a shorter class, the identity
+    or the zero.
+    """
     gens = sorted(pres.generators)
     min_len = 1 if pres.adjoin_identity else 0
     universe: list[tuple[Letter, ...]] = []
@@ -339,63 +383,32 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
     if zero_root is not None and not pres.adjoin_identity and uf.find(()) == zero_root:
         # 1 = 0, so every word is 0: the trivial monoid
         return from_table((EPSILON,), 0, [[0]], zero=0), dict.fromkeys(pres.generators, 0)
-    groups: dict[object, list[tuple[Letter, ...]]] = {}
-    for w in universe:
-        groups.setdefault(uf.find(w), []).append(w)
-
-    word_classes: list[tuple[Word, object]] = []
-    identity_root = None
-    for root, members in groups.items():
-        if zero_root is not None and root == zero_root:
-            continue
-        rep = min(map(Word, members))
-        if not pres.adjoin_identity and not rep:
-            identity_root = root
-            continue
-        word_classes.append((rep, root))
-    # representatives are distinct, so the sort never compares roots
-    word_classes.sort()
-
-    # element layout: identity first, word classes by shortlex rep, zero last
-    labels: list[object] = [EPSILON]
-    root_to_index: dict[object, int] = {}
-    if identity_root is not None:
-        root_to_index[identity_root] = 0
-    for rep, root in word_classes:
-        root_to_index[root] = len(labels)
-        labels.append(rep)
-    zero_index = None
-    if pres.has_zero:
-        zero_index = len(labels)
-        root_to_index[zero_root] = zero_index
+    # the shortlex walk of the right Cayley graph from the identity
+    index = {} if pres.adjoin_identity else {uf.find(()): 0}
+    reps: list[tuple[Letter, ...]] = [()]
+    parent, last, rows = [0], [0], []
+    for i, rep in enumerate(reps):             # reps grows as the walk finds classes
+        if len(rep) == bound:
+            raise NotStabilizedError(
+                f"class {Word(rep)} times {gens[0]} has length {bound + 1}, "
+                f"beyond the closure bound {bound}"
+            )
+        rows.append([uf.find(rep + (g,)) for g in gens])
+        for c, root in enumerate(rows[-1]):
+            if root != zero_root and root not in index:
+                index[root] = len(reps)
+                reps.append(rep + (gens[c],))
+                parent.append(i)
+                last.append(c)
+    labels = [EPSILON, *map(Word, reps[1:])]
+    zero = None
+    if zero_root is not None:
+        zero = index[zero_root] = len(reps)
+        rows.append([zero_root] * len(gens))
         labels.append(ZERO_LABEL)
-
-    reps: list[tuple[Letter, ...] | None] = [()] + [rep.letters for rep, _ in word_classes]
-    if zero_index is not None:
-        reps.append(None)
-
-    n = len(labels)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if zero_index is not None and (i == zero_index or j == zero_index):
-                table[i][j] = zero_index
-                continue
-            if i == 0:
-                table[i][j] = j
-                continue
-            if j == 0:
-                table[i][j] = i
-                continue
-            prod = reps[i] + reps[j]
-            if len(prod) > bound:
-                raise NotStabilizedError(
-                    f"product of classes {Word(reps[i])} and {Word(reps[j])} "
-                    f"has length {len(prod)}, beyond the closure bound {bound}"
-                )
-            table[i][j] = root_to_index[uf.find(prod)]
-    gen_index = {g: root_to_index[uf.find((g,))] for g in pres.generators}
-    return from_table(tuple(labels), 0, table, zero=zero_index), gen_index
+    delta = np.array([[index[root] for root in row] for row in rows], dtype=np.int32)
+    m = from_table(labels, 0, _cayley_table(parent, last, delta, zero), zero=zero)
+    return m, {g: int(delta[0, c]) for c, g in enumerate(gens)}
 
 
 def _certify(pres: Presentation, m: FiniteMonoid, gen_index: dict[Letter, int]) -> None:
@@ -424,16 +437,28 @@ def from_presentation(pres: Presentation, max_len: int = 6) -> FiniteMonoid:
     """Build the presented monoid by congruence closure over words of
     length at most ``max_len``, and certify the one table it builds.
 
-    Classes are labeled by their shortlex-least representative; the
-    reserved zero class is labeled ``"0"``.  The certificate checks that
-    every defining relation holds in the table and that every label
-    evaluates to its own element.  With :func:`from_table`'s proof that
-    the table is a monoid, and every entry a product of representatives
-    equated by genuine relation applications, this makes the table
-    exactly the presented monoid.  Raises :class:`NotStabilizedError`
-    when a product of representatives leaves the bound, the table is not
-    associative (the bound cut a derivation short) or the certificate
-    fails.
+    Classes are labeled by the first word that reaches them in the
+    shortlex walk of :func:`_closure`; the reserved zero class is labeled
+    ``"0"``.  The certificate checks that every defining relation holds in
+    the table and that every label evaluates to its own element.
+
+    **Proof that a certified table T is the presented monoid M.**  Each
+    edge of the walk, label ``r_i`` times generator ``g`` to class ``j``,
+    joins ``r_i g`` to ``r_j`` (for the zero class, to a word holding the
+    left side of a zero relation) by a chain of relation applications
+    inside the bound, so it is an equation of M.  So the labels' elements of M, with 1 and 0, are closed
+    under right multiplication by the generators, and they cover M, which
+    therefore has at most ``T.order`` elements.  :func:`from_table` proves
+    T a monoid, and the relations hold in T, so sending each generator to
+    its element gives a homomorphism from M to T; it is onto, because
+    every label evaluates to its own element.  A homomorphism onto T from
+    a monoid no larger than T is an isomorphism.
+
+    The walk needs each label's length plus one inside the bound, where
+    a table of products of labels needs twice the longest label:
+    M_SCRIPT, A21 and B21 certify at bound 3.  Raises :class:`NotStabilizedError` when
+    the walk leaves the bound, the table is not associative (the bound
+    cut a derivation short) or the certificate fails.
     """
     if not pres.generators:
         raise EmptyGeneratorsError("presentation has no generators")

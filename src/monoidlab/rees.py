@@ -9,13 +9,12 @@ without a side table.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 
 import numpy as np
 
 from .errors import BudgetExceededError, HomomorphismViolationError, NotSubsetError, ParseError
-from .monoid import ZERO_LABEL, FiniteMonoid, from_table
+from .monoid import ZERO_LABEL, FiniteMonoid, _cayley_table, from_table
 from .words import Word, WordSet, factor_tuples, generate_wn, parse_word
 
 # The largest order rees_quotient builds a table for: 256 MB of int32.
@@ -53,13 +52,12 @@ def _factor_graph(word_set: WordSet):
 def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     """Construct ``M(W)``: identity first, factors shortlex, zero last.
 
-    The table is read off the trie of :func:`_factor_graph`: the identity
-    ``x (p c) = (x p) c`` makes column ``j`` of the table one gather,
-    ``T[:, j] = delta[T[:, parent(j)], last(j)]``.  Parents are shorter,
-    so all factors of one length are gathered at once, in O(F^2) numpy
-    work and O(F) Python steps for F factors.  :func:`from_table` then
-    validates the table; its greedy generating set is the letters, so
-    Light's test costs one comparison per letter.  Raises
+    The table is read off the factor trie and the right Cayley graph of
+    :func:`_factor_graph` by :func:`~monoidlab.monoid._cayley_table`, the
+    gather that also builds every presented monoid: one numpy gather per
+    factor length, O(F^2) numpy work and O(F) Python steps for F factors.
+    :func:`from_table` then validates the table; its greedy generating set
+    is the letters, so Light's test costs one comparison per letter.  Raises
     :class:`BudgetExceededError` before allocating a table of more than
     :data:`TABLE_ORDER_LIMIT` elements.
     """
@@ -72,17 +70,8 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
             n,
             TABLE_ORDER_LIMIT,
         )
-    lengths = [len(t) for t in element]        # sorted, as the factors are shortlex
-    cols = np.empty((n, n), dtype=np.int32)    # cols[j] is column j of the table
-    cols[0] = np.arange(n)
-    cols[zero] = zero
-    lo = 1
-    while lo < zero:
-        hi = bisect.bisect_right(lengths, lengths[lo])
-        cols[lo:hi] = delta[cols[parent[lo:hi]], last[lo:hi, None]]
-        lo = hi
     labels = tuple(Word(t) for t in element) + (ZERO_LABEL,)
-    monoid = from_table(labels, 0, cols.T, zero=zero)
+    monoid = from_table(labels, 0, _cayley_table(parent, last, delta, zero), zero=zero)
     return dataclasses.replace(monoid, word_set=word_set)
 
 

@@ -332,11 +332,26 @@ def _claim_distinct_varieties(cfg: VerifyConfig, rows):
 
 
 def _claim_quotient_maps(cfg: VerifyConfig):
-    subsets = _subsets(cfg.max_n)
-    for big in subsets:
-        for small in subsets:
-            if set(small) <= set(big):
-                quotient_map(_word_set_for(big), _word_set_for(small))
+    """C10: for every nested pair W' ⊆ W of subsets of F = {w_1..w_max_n},
+    the map phi_{W->W'} from M(W) onto M(W') that fixes the factors of W'
+    and sends every other element to zero is a surjective homomorphism.
+    Only the 2^max_n maps phi_{F->W} are checked, by :func:`quotient_map`.
+
+    **Lemma.** If every phi_{F->W} is a surjective homomorphism, so is
+    every phi_{W->W'}.
+
+    **Proof.** A factor of W' is a factor of W, so phi_{F->W'} =
+    phi_{W->W'} o phi_{F->W} as maps: a factor of F that is one of W' is
+    fixed by both sides, and any other goes to zero.  Given x and y in
+    M(W), pick x' and y' in M(F) with phi_{F->W}(x') = x and
+    phi_{F->W}(y') = y.  Then phi_{W->W'}(xy) = phi_{W->W'}(phi_{F->W}(x'y'))
+    = phi_{F->W'}(x'y') = phi_{F->W'}(x') phi_{F->W'}(y') =
+    phi_{W->W'}(x) phi_{W->W'}(y), and phi_{W->W'} is onto because
+    phi_{F->W'} is.
+    """
+    full = _word_set_for(range(1, cfg.max_n + 1))
+    for subset in _subsets(cfg.max_n):
+        quotient_map(full, _word_set_for(subset))
     return PASS, None
 
 

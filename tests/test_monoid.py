@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -317,6 +318,126 @@ def test_from_presentation_builds_one_closure(monkeypatch):
     assert bounds == [5]
 
 
+def _product_closure(pres: Presentation, bound: int) -> FiniteMonoid:
+    """The presented monoid by the product-of-representatives table, the
+    construction the graph walk replaced, certified as
+    :func:`from_presentation` certifies: the oracle of the walk.
+
+    Classes are labeled by their shortlex-least member, and entry (i, j)
+    is the class of the product of the labels, which must stay inside the
+    bound; raises :class:`NotStabilizedError` like the walk.
+    """
+    gens = sorted(pres.generators)
+    universe = [
+        w
+        for length in range(1 if pres.adjoin_identity else 0, bound + 1)
+        for w in itertools.product(gens, repeat=length)
+    ]
+    uf = monoid_module._UnionFind()
+    for w in universe:
+        uf.add(w)
+    if pres.has_zero:
+        uf.add(ZERO)
+    for lhs, rhs in pres.relations:
+        lt = lhs.letters
+        for w in universe:
+            for i in monoid_module._occurrences(w, lt):
+                if rhs is ZERO:
+                    uf.union(w, ZERO)
+                elif len(w) - len(lt) + len(rhs) <= bound:
+                    uf.union(w, w[:i] + rhs.letters + w[i + len(lt) :])
+    zero_root = uf.find(ZERO) if pres.has_zero else None
+    if zero_root is not None and not pres.adjoin_identity and uf.find(()) == zero_root:
+        return from_table((EPSILON,), 0, [[0]], zero=0)
+    groups = {}
+    for w in universe:
+        groups.setdefault(uf.find(w), []).append(w)
+    index = {} if pres.adjoin_identity else {uf.find(()): 0}
+    reps = [()]
+    for rep in sorted(min(map(Word, members)) for members in groups.values()):
+        root = uf.find(rep.letters)
+        if root != zero_root and root not in index:
+            index[root] = len(reps)
+            reps.append(rep.letters)
+    labels = [EPSILON] + [Word(r) for r in reps[1:]]
+    zero = None
+    if pres.has_zero:
+        zero = index[zero_root] = len(reps)
+        labels.append(ZERO_LABEL)
+    n = len(labels)
+    table = [[zero] * n for _ in range(n)]
+    for i, j in itertools.product(range(len(reps)), repeat=2):
+        if i == 0 or j == 0:
+            table[i][j] = i + j
+            continue
+        prod = reps[i] + reps[j]
+        if len(prod) > bound:
+            raise NotStabilizedError(f"{Word(prod)} leaves the bound {bound}")
+        table[i][j] = index[uf.find(prod)]
+    try:
+        m = from_table(labels, 0, table, zero=zero)
+    except NonAssociativeError as exc:
+        raise NotStabilizedError("table not associative") from exc
+    gen_index = {g: index[uf.find((g,))] for g in pres.generators}
+    monoid_module._certify(pres, m, gen_index)
+    return m
+
+
+def _random_presentation(rng: random.Random) -> Presentation:
+    """1-2 generators and 1-4 relations with sides of at most 4 letters;
+    some right sides are the zero, and without an adjoined identity some
+    sides are empty."""
+    gens = tuple(Letter(c) for c in "ab"[: rng.randint(1, 2)])
+    adjoin = rng.random() < 0.7
+    has_zero = rng.random() < 0.5
+    lo = 1 if adjoin else 0
+
+    def side():
+        return Word(tuple(rng.choice(gens) for _ in range(rng.randint(lo, 4))))
+
+    relations = tuple(
+        (side(), ZERO if has_zero and rng.random() < 0.3 else side())
+        for _ in range(rng.randint(1, 4))
+    )
+    return Presentation(gens, relations, adjoin_identity=adjoin, has_zero=has_zero)
+
+
+def test_walk_certifies_whenever_the_product_table_does():
+    # a label needs its own length + 1 inside the bound, a product of two
+    # labels twice the longest: the walk certifies more, and agrees on the rest
+    rng = random.Random(20241123)
+    both = walk_only = 0
+    for _ in range(400):
+        pres, bound = _random_presentation(rng), rng.randint(3, 7)
+        try:
+            want = _product_closure(pres, bound)
+        except NotStabilizedError:
+            want = None
+        try:
+            got = from_presentation(pres, bound)
+        except NotStabilizedError:
+            assert want is None, (pres, bound)
+            continue
+        if want is None:
+            walk_only += 1
+            continue
+        both += 1
+        assert [str(x) for x in got.elements] == [str(x) for x in want.elements], (pres, bound)
+        assert np.array_equal(got.table, want.table) and got.zero == want.zero, (pres, bound)
+    assert both > 50 and walk_only > 10
+
+
+def test_presets_certify_at_bound_three():
+    for name in ("M_SCRIPT", "A21", "B21"):
+        small = from_presentation(preset(name), 3)
+        for bound in (4, 5, 6):
+            for m in (from_presentation(preset(name), bound), _product_closure(preset(name), bound)):
+                assert [str(x) for x in m.elements] == [str(x) for x in small.elements]
+                assert np.array_equal(m.table, small.table) and m.zero == small.zero
+        with pytest.raises(NotStabilizedError):
+            _product_closure(preset(name), 3)
+
+
 def test_free_monoid_does_not_stabilize():
     # with no relations every product of long representatives leaves the bound
     p = Presentation(generators=(Letter("a"),), relations=())
@@ -334,16 +455,28 @@ def test_bicyclic_presentation_does_not_stabilize():
         from_presentation(p, 4)
 
 
-def test_truncated_non_associative_closure_is_not_certified():
-    # a^4 = a = a^3 makes aa = a, but at bound 4 no relation reaches aa,
-    # so (a*a)*aa = a while a*(a*aa) = aa
+def test_truncated_closure_is_not_certified():
+    # a^4 = a = a^3 makes aa = a, but at bound 4 no relation reaches aa:
+    # the walk gives 1, a, aa with aa*a = a, where aaaa is aa, not a
     p = Presentation(
         generators=(Letter("a"),),
         relations=((parse_word("aaaa"), parse_word("a")), (parse_word("aaaa"), parse_word("aaa"))),
     )
-    with pytest.raises(NotStabilizedError, match="not associative"):
+    with pytest.raises(NotStabilizedError, match="relation aaaa = a fails"):
         from_presentation(p, 4)
     assert list(from_presentation(p, 5).elements) == [EPSILON, parse_word("a")]
+
+
+def test_truncated_non_associative_closure_is_not_certified():
+    # at bound 3, aab = bbb = baa = ba = b, but ab = a.aab = aaab needs length
+    # 4; the walk keeps ab apart, so (a*a)*ab = b while a*(a*ab) = ab
+    a, b = Letter("a"), Letter("b")
+    p = Presentation((a, b), ((parse_word("bb"), parse_word("aa")), (parse_word("ba"), parse_word("b"))))
+    with pytest.raises(NotStabilizedError, match="table not associative"):
+        from_presentation(p, 3)
+    want = ["1", "a", "b", "aa"]
+    assert [str(x) for x in from_presentation(p, 4).elements] == want
+    assert [str(x) for x in _product_closure(p, 4).elements] == want
 
 
 def test_empty_generators_rejected():
@@ -369,3 +502,16 @@ def test_json_roundtrip():
     back = FiniteMonoid.from_json_dict(data)
     assert np.array_equal(back.table, m.table)
     assert [str(x) for x in back.elements] == [str(x) for x in m.elements]
+
+
+def test_json_zero_label_stays_a_string():
+    # "0" does not parse as a word, so it stays the reserved label
+    m = FiniteMonoid.from_json_dict({"elements": ["1", "0"], "one": 0, "table": [[0, 1], [1, 1]], "zero": 1})
+    assert m.elements == (EPSILON, ZERO_LABEL) and type(m.elements[1]) is str
+
+
+def test_json_rejects_a_label_that_is_not_a_string():
+    with pytest.raises(ValueError, match="None is not a string"):
+        FiniteMonoid.from_json_dict(
+            {"elements": ["1", None], "one": 0, "table": [[0, 1], [1, 1]], "zero": 1}
+        )

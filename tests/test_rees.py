@@ -172,6 +172,20 @@ def test_quotient_map_agrees_with_the_full_table_comparison(big, small):
     assert quotient_map(S.word_set, T.word_set) == tuple(m.tolist())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quotient_maps_compose_through_every_nested_pair(n):
+    # C10's lemma: phi_{F->W'} = phi_{W->W'} o phi_{F->W} for W' in W in F
+    subsets = [s for r in range(n + 1) for s in itertools.combinations(range(1, n + 1), r)]
+    full = _family_quotient(tuple(range(1, n + 1))).word_set
+    for big in subsets:
+        onto_big = quotient_map(full, _family_quotient(big).word_set)
+        for small in subsets:
+            if set(small) <= set(big):
+                W, W2 = _family_quotient(big).word_set, _family_quotient(small).word_set
+                through = quotient_map(W, W2)
+                assert quotient_map(full, W2) == tuple(through[x] for x in onto_big)
+
+
 def test_quotient_map_names_a_corrupted_graph_entry(monkeypatch):
     source = WordSet.of([generate_wn(1), generate_wn(2)])
     target = WordSet.of([generate_wn(1)])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from monoidlab import (
     BudgetExceededError,
     EPSILON,
+    HomomorphismViolationError,
     Length2Profile,
     Letter,
     Substitution,
@@ -361,3 +362,34 @@ def test_quotient_map_claim_builds_no_table(monkeypatch):
     monkeypatch.setattr(rees_mod, "rees_quotient", _no_table)
     monkeypatch.setattr(rees_mod, "from_table", _no_table)
     assert verify_mod._claim_quotient_maps(VerifyConfig(max_n=3)) == ("PASS", None)
+
+
+def test_quotient_map_claim_maps_out_of_the_full_set_only(monkeypatch):
+    calls = []
+    real = verify_mod.quotient_map
+
+    def counting(source, target):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(verify_mod, "quotient_map", counting)
+    for n in (1, 2, 3):
+        calls.clear()
+        assert verify_mod._claim_quotient_maps(VerifyConfig(max_n=n)) == ("PASS", None)
+        full = WordSet.of(generate_wn(k) for k in range(1, n + 1))
+        assert len(calls) == 2**n and {source for source, _ in calls} == {full}
+        assert len({target for _, target in calls}) == 2**n
+
+
+def test_quotient_map_claim_fails_when_a_map_fails(monkeypatch):
+    real = verify_mod.quotient_map
+
+    def failing(source, target):
+        if target == WordSet.of([generate_wn(1)]):
+            raise HomomorphismViolationError("map is not surjective")
+        return real(source, target)
+
+    monkeypatch.setattr(verify_mod, "quotient_map", failing)
+    by_id = {c.id: c for c in run_claims(VerifyConfig(max_n=1)).claims}
+    assert by_id["C10"].status == "FAIL"
+    assert by_id["C10"].witness == {"error": "HomomorphismViolationError: map is not surjective"}
