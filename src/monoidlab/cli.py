@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to this file")
     p.add_argument("--match-budget", type=_budget, default=DEFAULT_MATCH_BUDGET,
                    help=f"matcher budget per check (default {DEFAULT_MATCH_BUDGET}; "
-                   "--max-n 4 needs 4000000)")
+                   "--max-n 5 needs 2000000)")
     p.add_argument("--table-budget", type=_budget, default=DEFAULT_TABLE_BUDGET,
                    help=f"table checker budget per check (default {DEFAULT_TABLE_BUDGET})")
     p.set_defaults(func=_cmd_verify)

@@ -297,10 +297,19 @@ def _scan_matches(
 
     The walk backtracks, with an explicit stack, over the start position
     and the segment of each variable at its first occurrence; later
-    occurrences only compare.  Two sound prunes keep the tree small: a
-    nonempty image of a variable occurring k times must have at least k
-    disjoint occurrences in the target, and segments already bound in the
-    rest of the pattern must still fit into the remaining room.  Every
+    occurrences only compare.  Three sound prunes keep the tree small, all
+    resting on one fact: the images of the later occurrences of a variable
+    lie to the right of the current target position and are disjoint, and
+    ``str.count(seg, start)`` is the largest number of disjoint copies of
+    ``seg`` in ``target[start:]``.  First, segments already bound in the
+    rest of the pattern must still fit into the remaining room.  Second,
+    the occurrence lookahead on the own variable: a nonempty segment
+    bound at ``target[e0:e]`` to a variable read c more times needs c
+    copies in ``target[e:]``.  A longer segment has no more copies to its
+    right than its own prefix has, so the first segment that fails ends
+    the block.  Third, the lookahead on the live images: before a block
+    opens at position p, each nonempty image read c more times from there
+    on needs c copies in ``target[p:]``, or the block is not opened.  Every
     start position and every candidate binding is one node, and the walk
     raises :class:`BudgetExceededError` at the node that takes the count
     past ``limit``.
@@ -334,27 +343,26 @@ def _scan_matches(
     state is recorded dead together with its mask of erased variables (one
     mask per state, the last recorded).  A later block with the same state
     is skipped when its mask contains the recorded one.  That is sound:
-    below block d the room, run and occurrence-count checks read only the
-    target, the live images and what the subtree binds, so both openings
-    try the same candidates, and the trivial-erasure cut is upward-closed
-    in the mask, so the larger mask cuts at least as much.  With the bound
-    set aside, the skipped subtree therefore has no complete match either.
-    The bound reads images that need not be live, which is why a subtree
-    with a bound cut is never recorded; a skipped block counts as neither,
-    since it has nothing to report with or without the bound.  The memo
-    is sound whatever it keeps, so dropping a record costs only nodes.
-    Only subtrees that report nothing are skipped, so ``on_match`` sees
-    exactly the calls of the walk without the memo, in the same order,
-    and only the node count falls.
+    below block d the room, run and lookahead checks read only the target,
+    the block starts, the live images and what the subtree binds, so both
+    openings try the same candidates, and the trivial-erasure cut is
+    upward-closed in the mask, so the larger mask cuts at least as much.
+    With the bound set aside, the skipped subtree therefore has no
+    complete match either.  The bound reads images that need not be live,
+    which is why a subtree with a bound cut is never recorded; a skipped
+    block counts as neither, since it has nothing to report with or
+    without the bound.  The lookahead cuts are not bound cuts: a subtree
+    they exhaust holds no complete match, so it is still recorded dead.
+    The memo is sound whatever it keeps, so dropping a record costs only
+    nodes.  The lookahead and the memo skip only subtrees that report
+    nothing, so ``on_match`` sees exactly the calls of the plain walk, in
+    the same order, and only the node count falls.
     """
     variables = sorted(pattern.alphabet)
     var_index = {v: i for i, v in enumerate(variables)}
     pat = [var_index[c] for c in pattern.letters]
     n = len(target)
     k = len(variables)
-    need = [0] * k
-    for vi in pat:
-        need[vi] += 1
     # The pattern splits into k blocks, one per variable in order of first
     # occurrence: that occurrence, then the run of bound variables after it.
     block_var: list[int] = []
@@ -462,8 +470,10 @@ def _scan_matches(
             seg = target[e0 : e0 + step]
             mask = masks[d]
             if step:
-                # str.count counts disjoint occurrences
-                if need[vi] > 1 and count(seg) < need[vi]:
+                # str.count from a start counts disjoint copies to its right
+                c = later_own[d]
+                if c and count(seg, e0 + step) < c:
+                    nxt[d] = top[d] + 1  # longer segments have no more
                     continue
             else:
                 mask |= 1 << vi
@@ -506,14 +516,20 @@ def _scan_matches(
                     events += 1
                     on_match(values, start, end)
                 else:
-                    images = live[d + 1]
-                    state = (d + 1, end, images(values)) if images else (d + 1, end)
-                    m = dead.get(state)
-                    if m is None or m & mask != m:
-                        d += 1
-                        states[d] = state
-                        marks[d] = events
-                        open_block(d, end, mask)
+                    # each live image needs its later copies right of end
+                    for j, c in room_terms[d + 1]:
+                        s = values[j]
+                        if s and count(s, end) < c:
+                            break
+                    else:
+                        images = live[d + 1]
+                        state = (d + 1, end, images(values)) if images else (d + 1, end)
+                        m = dead.get(state)
+                        if m is None or m & mask != m:
+                            d += 1
+                            states[d] = state
+                            marks[d] = events
+                            open_block(d, end, mask)
     return spent
 
 
@@ -600,8 +616,11 @@ def check_rees(
     also skips every block whose state it has already shown to be a dead
     end, a subtree with no match to report (its dead-state memo), so a
     HOLDS search proves each dead end once per state and not once per
-    path.  ``evaluations`` counts the matches examined that were neither
-    trivial nor cut by the bound, and the memo leaves it unchanged.
+    path, and it cuts every binding whose variables, bound or being bound,
+    have too few disjoint copies to the right of the current position for
+    their later occurrences (its occurrence lookahead).  ``evaluations``
+    counts the matches examined that were neither trivial nor cut by the
+    bound, and the memo and the lookahead leave it unchanged.
     """
     alf_l = ident.lhs.alphabet
     alf_r = ident.rhs.alphabet

@@ -433,9 +433,20 @@ def _certify(pres: Presentation, m: FiniteMonoid, gen_index: dict[Letter, int]) 
             )
 
 
+def _certified(pres: Presentation, bound: int) -> FiniteMonoid:
+    """The table of :func:`_closure` at ``bound``, certified."""
+    try:
+        m, gen_index = _closure(pres, bound)
+    except NonAssociativeError as exc:
+        raise NotStabilizedError(f"closure not certified: table not associative, {exc}") from exc
+    _certify(pres, m, gen_index)
+    return m
+
+
 def from_presentation(pres: Presentation, max_len: int = 6) -> FiniteMonoid:
     """Build the presented monoid by congruence closure over words of
-    length at most ``max_len``, and certify the one table it builds.
+    bounded length, trying the bounds 1, 2, ..., ``max_len`` in turn, and
+    return the first table that certifies.
 
     Classes are labeled by the first word that reaches them in the
     shortlex walk of :func:`_closure`; the reserved zero class is labeled
@@ -454,19 +465,25 @@ def from_presentation(pres: Presentation, max_len: int = 6) -> FiniteMonoid:
     every label evaluates to its own element.  A homomorphism onto T from
     a monoid no larger than T is an isomorphism.
 
+    So a certified table is exact, and a larger bound gives the same one:
+    its closure only adds true equations of M, the walk's words already
+    lie in distinct classes, so the walk and its labels do not change.
+    The first certified bound therefore returns what ``max_len`` would.
     The walk needs each label's length plus one inside the bound, where
     a table of products of labels needs twice the longest label:
-    M_SCRIPT, A21 and B21 certify at bound 3.  Raises :class:`NotStabilizedError` when
-    the walk leaves the bound, the table is not associative (the bound
-    cut a derivation short) or the certificate fails.
+    M_SCRIPT, A21 and B21 certify at bound 3.  Raises
+    :class:`NotStabilizedError`, with the reason at ``max_len``, when no
+    bound certifies: the walk leaves the bound, the table is not
+    associative (the bound cut a derivation short) or the certificate
+    fails.
     """
     if not pres.generators:
         raise EmptyGeneratorsError("presentation has no generators")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    try:
-        m, gen_index = _closure(pres, max_len)
-    except NonAssociativeError as exc:
-        raise NotStabilizedError(f"closure not certified: table not associative, {exc}") from exc
-    _certify(pres, m, gen_index)
-    return m
+    for bound in range(1, max_len):
+        try:
+            return _certified(pres, bound)
+        except NotStabilizedError:
+            pass
+    return _certified(pres, max_len)

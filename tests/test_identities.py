@@ -372,6 +372,20 @@ def test_scan_matches_stream_is_the_naive_multiset():
         assert Counter(streamed) == Counter(naive_scan(pattern, target, erasing))
 
 
+def test_scan_matches_stream_is_the_naive_list():
+    # order included: the occurrence lookahead and the memo cut only
+    # subtrees that hold no complete match.  Variables repeat up to eight
+    # times, so both lookahead cuts fire
+    rng = random.Random(29)
+    for _ in range(300):
+        pattern = Word(tuple(Letter(rng.choice("xyz")) for _ in range(rng.randint(1, 8))))
+        target = Word(tuple(Letter(rng.choice("ab")) for _ in range(rng.randint(0, 10))))
+        erasing = rng.random() < 0.5
+        streamed: list = []
+        scan_matches(pattern, target, streamed.append, erasing)
+        assert streamed == naive_scan(pattern, target, erasing)
+
+
 def test_match_pattern_complete_on_small_inputs():
     rng = random.Random(11)
     for _ in range(120):
@@ -430,10 +444,18 @@ def test_check_rees_separation_diagonal_three_default_budget():
     assert out.witness == Substitution.identity_on(generate_wn(3).alphabet)
 
 
+def test_check_rees_separation_diagonal_four_default_budget():
+    # the occurrence lookahead brings the (4,4) diagonal to about 128k
+    # nodes (3.6M with the memo alone), within the default budget
+    out = check_rees(WordSet.of([generate_wn(4)]), separation_identity(4))
+    assert out.status == FAILS
+    assert out.witness == Substitution.identity_on(generate_wn(4).alphabet)
+
+
 def test_check_rees_holds_search_pays_nothing_for_the_bound():
     # a search that finds no mismatch never sets a best key, so it walks
-    # exactly the nodes of the unbounded walk of both sides, memo included:
-    # 24,828 for sep(2) in w_3
+    # exactly the nodes of the unbounded walk of both sides, memo and
+    # occurrence lookahead included: 5,543 for sep(2) in w_3
     word_set, ident = WordSet.of([generate_wn(3)]), separation_identity(2)
     coding = identities._Coding(generate_wn(3).alphabet)
     spent = 0
@@ -442,11 +464,11 @@ def test_check_rees_holds_search_pays_nothing_for_the_bound():
             spent = identities._scan_matches(
                 u, coding.encode(w), True, 10**9, spent, lambda *m: None, other=v
             )
-    assert spent == 24_828
-    assert check_rees(word_set, ident, budget=24_828).status == HOLDS
+    assert spent == 5_543
+    assert check_rees(word_set, ident, budget=5_543).status == HOLDS
     with pytest.raises(BudgetExceededError) as info:
-        check_rees(word_set, ident, budget=24_827)
-    assert info.value.spent == 24_828
+        check_rees(word_set, ident, budget=5_542)
+    assert info.value.spent == 5_543
 
 
 @pytest.mark.stretch

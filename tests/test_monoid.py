@@ -305,7 +305,8 @@ def test_certificate_rejects_a_representative_off_its_element():
     assert from_presentation(p).order == 3
 
 
-def test_from_presentation_builds_one_closure(monkeypatch):
+def test_from_presentation_stops_at_the_first_certified_bound(monkeypatch):
+    # one closure per bound, no rerun, and none past the certified bound 3
     bounds = []
     closure = monoid_module._closure
 
@@ -315,7 +316,7 @@ def test_from_presentation_builds_one_closure(monkeypatch):
 
     monkeypatch.setattr(monoid_module, "_closure", counting)
     from_presentation(preset("M_SCRIPT"), 5)
-    assert bounds == [5]
+    assert bounds == [1, 2, 3]
 
 
 def _product_closure(pres: Presentation, bound: int) -> FiniteMonoid:
@@ -427,11 +428,31 @@ def test_walk_certifies_whenever_the_product_table_does():
     assert both > 50 and walk_only > 10
 
 
+def test_first_certified_bound_gives_the_table_of_the_largest():
+    # a certified table is exact, so stopping at the first certified bound
+    # returns the one-closure table at max_len, and raises where it raises
+    rng = random.Random(20241123)
+    for _ in range(400):
+        pres, bound = _random_presentation(rng), rng.randint(3, 7)
+        try:
+            want = monoid_module._certified(pres, bound).to_json_dict()
+        except NotStabilizedError:
+            want = None
+        try:
+            got = from_presentation(pres, bound).to_json_dict()
+        except NotStabilizedError:
+            got = None
+        assert got == want, (pres, bound)
+
+
 def test_presets_certify_at_bound_three():
+    # from_presentation would stop at bound 3, so the larger bounds are
+    # closed on their own
     for name in ("M_SCRIPT", "A21", "B21"):
         small = from_presentation(preset(name), 3)
         for bound in (4, 5, 6):
-            for m in (from_presentation(preset(name), bound), _product_closure(preset(name), bound)):
+            for m in (monoid_module._certified(preset(name), bound),
+                      _product_closure(preset(name), bound)):
                 assert [str(x) for x in m.elements] == [str(x) for x in small.elements]
                 assert np.array_equal(m.table, small.table) and m.zero == small.zero
         with pytest.raises(NotStabilizedError):
