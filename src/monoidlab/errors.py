@@ -8,10 +8,12 @@ class WorkbenchError(Exception):
 
 
 class ParseError(WorkbenchError):
-    """Malformed word or identity text."""
+    """Malformed word or identity text; ``position`` is an index into the
+    text the caller passed."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

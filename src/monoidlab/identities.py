@@ -29,7 +29,7 @@ from .words import (
     depth_map,
     generate_wn,
     letter_positions,
-    parse_word,
+    parse_words,
 )
 
 HOLDS = "HOLDS"
@@ -64,8 +64,7 @@ def parse_identity(text: str) -> Identity:
     """
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='", len(text))
-    left, right = text.split("=")
-    return Identity(parse_word(left), parse_word(right))
+    return Identity(*parse_words(text, "="))
 
 
 @dataclass(frozen=True)

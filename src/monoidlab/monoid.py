@@ -22,7 +22,6 @@ from .errors import (
     EmptyGeneratorsError,
     NonAssociativeError,
     NotStabilizedError,
-    ParseError,
     UnknownPresetError,
 )
 from .words import EPSILON, Letter, Word, WordSet, parse_word
@@ -83,9 +82,10 @@ class FiniteMonoid:
         return {str(lab): i for i, lab in enumerate(self.elements)}
 
     def element_of(self, label) -> int | None:
-        """Index of the element labeled ``label``, else the zero (``None``
-        without one).  In a Rees quotient a word that is not a factor is zero."""
-        return self._label_index.get(str(label), self.zero)
+        """Index of the element labeled ``label``.  In a Rees quotient a
+        word that is not a factor is the zero; otherwise a label that names
+        no element gives ``None``."""
+        return self._label_index.get(str(label), None if self.word_set is None else self.zero)
 
     def __repr__(self) -> str:
         source = "" if self.word_set is None else f"{{{self.word_set}}}, "
@@ -98,18 +98,6 @@ class FiniteMonoid:
             "zero": self.zero,
             "table": self.table.tolist(),
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "FiniteMonoid":
-        labels = []
-        for text in data["elements"]:
-            if not isinstance(text, str):
-                raise ValueError(f"element label {text!r} is not a string")
-            try:
-                labels.append(parse_word(text))
-            except ParseError:
-                labels.append(text)
-        return from_table(tuple(labels), data["one"], data["table"], zero=data.get("zero"))
 
 
 def _int_table(table, n: int) -> np.ndarray:
@@ -264,16 +252,16 @@ def multiply(m: FiniteMonoid, s: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and relations; relation right sides may be :data:`ZERO`.
+    """A monoid presentation: generators and relations, whose sides may be
+    the empty word ``1`` and whose right sides may be :data:`ZERO`.
 
-    With ``adjoin_identity`` the closure runs over nonempty generator
-    words and a fresh identity is added afterwards; without it the empty
-    word belongs to the universe and relations may use ``1`` as a side.
+    When no side is empty, no relation reaches the empty word, so the
+    presented monoid is S^1, the semigroup with the same presentation
+    with an identity adjoined; the presets are of this kind.
     """
 
     generators: tuple[Letter, ...]
     relations: tuple[tuple[Word, object], ...]
-    adjoin_identity: bool = True
     has_zero: bool = False
 
     def __post_init__(self) -> None:
@@ -285,8 +273,6 @@ class Presentation:
             for side in sides:
                 if not set(side.letters) <= gens:
                     raise ValueError(f"relation side {side} uses undeclared generators")
-                if len(side) == 0 and self.adjoin_identity:
-                    raise ValueError("empty relation sides need adjoin_identity=False")
 
 
 _PRESETS = {
@@ -308,7 +294,6 @@ def preset(name: str) -> Presentation:
     return Presentation(
         generators=tuple(Letter(g) for g in gen_names),
         relations=relations,
-        adjoin_identity=True,
         has_zero=True,
     )
 
@@ -346,19 +331,18 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
 
     A union-find closes the words of length at most ``bound`` under the
     relations.  A shortlex walk of the right Cayley graph then starts at
-    the identity and, for each class it has found, in order, follows the
-    class's label times each generator; a class is labeled by the first
-    word that reaches it, and the zero class goes to the zero.  The walk
-    gives the graph ``delta`` and its spanning tree (``parent``, ``last``)
-    to :func:`_cayley_table`, and raises :class:`NotStabilizedError` when
-    a label times a generator leaves the bound.  A generator's element is
-    the identity's edge, which can lead to a shorter class, the identity
-    or the zero.
+    the identity, the empty word's class, and, for each class it has
+    found, in order, follows the class's label times each generator; a
+    class is labeled by the first word that reaches it, and the zero
+    class goes to the zero.  The walk gives the graph ``delta`` and its
+    spanning tree (``parent``, ``last``) to :func:`_cayley_table`, and
+    raises :class:`NotStabilizedError` when a label times a generator
+    leaves the bound.  A generator's element is the identity's edge,
+    which can lead to a shorter class, the identity or the zero.
     """
     gens = sorted(pres.generators)
-    min_len = 1 if pres.adjoin_identity else 0
     universe: list[tuple[Letter, ...]] = []
-    for length in range(min_len, bound + 1):
+    for length in range(bound + 1):
         universe.extend(itertools.product(gens, repeat=length))
     uf = _UnionFind()
     for w in universe:
@@ -380,11 +364,12 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
                         uf.union(w, w2)
 
     zero_root = uf.find(ZERO) if pres.has_zero else None
-    if zero_root is not None and not pres.adjoin_identity and uf.find(()) == zero_root:
+    one_root = uf.find(())
+    if one_root == zero_root:
         # 1 = 0, so every word is 0: the trivial monoid
         return from_table((EPSILON,), 0, [[0]], zero=0), dict.fromkeys(pres.generators, 0)
     # the shortlex walk of the right Cayley graph from the identity
-    index = {} if pres.adjoin_identity else {uf.find(()): 0}
+    index = {one_root: 0}
     reps: list[tuple[Letter, ...]] = [()]
     parent, last, rows = [0], [0], []
     for i, rep in enumerate(reps):             # reps grows as the walk finds classes

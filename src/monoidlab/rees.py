@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, HomomorphismViolationError, NotSubsetError, ParseError
 from .monoid import ZERO_LABEL, FiniteMonoid, _cayley_table, from_table
-from .words import Word, WordSet, factor_tuples, generate_wn, parse_word
+from .words import Word, WordSet, factor_tuples, generate_wn, parse_words
 
 # The largest order rees_quotient builds a table for: 256 MB of int32.
 # It is above every table the claim suite and the tests build, and above
@@ -133,12 +133,12 @@ def parse_word_set(text: str) -> WordSet:
     if not s:
         return WordSet.of([])
     if s.startswith("wn:"):
-        body = s[3:].strip()
+        body, at = s[3:].strip(), text.index("wn:") + 3
         if not body:
-            raise ParseError("wn: needs at least one index", 3)
+            raise ParseError("wn: needs at least one index", at)
         try:
             indices = [int(p.strip()) for p in body.split(",")]
         except ValueError:
-            raise ParseError(f"bad wn index list {body!r}", 3) from None
+            raise ParseError(f"bad wn index list {body!r}", at) from None
         return WordSet.of(generate_wn(i) for i in indices)
-    return WordSet.of(parse_word(p) for p in s.split(","))
+    return WordSet.of(parse_words(text, ","))

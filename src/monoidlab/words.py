@@ -166,9 +166,23 @@ def parse_word(text: str) -> Word:
         raise ParseError("empty word text; the empty word is spelled 1", 0)
     if s == "1":
         return EPSILON
+    # the parsers skip leading whitespace, so positions count from text[0]
     if "." in s or "_" in s:
-        return Word(tuple(_parse_dotted(s)))
-    return Word(tuple(_parse_compact(s)))
+        return Word(tuple(_parse_dotted(text.rstrip())))
+    return Word(tuple(_parse_compact(text)))
+
+
+def parse_words(text: str, sep: str) -> list[Word]:
+    """The words of ``text`` between the separators ``sep``; an error's
+    position counts from the start of ``text``."""
+    words, start = [], 0
+    for part in text.split(sep):
+        try:
+            words.append(parse_word(part))
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.position + start) from None
+        start += len(part) + len(sep)
+    return words
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,11 @@ def test_parse_identity_errors():
         parse_identity("x = y = z")
     with pytest.raises(ParseError):
         parse_identity("x = ?")
+    # positions count from the start of the identity text
+    for text, position in (("xy = x$", 6), (" x = y.z_", 7), ("x$ = y", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_identity(text)
+        assert info.value.position == position, text
 
 
 def test_parse_identity_dotted_superscripts():

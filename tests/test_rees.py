@@ -23,9 +23,11 @@ from monoidlab import (
     WordSet,
     basis,
     check_rees,
+    from_presentation,
     generate_wn,
     parse_word,
     parse_word_set,
+    preset,
     quotient_map,
     rees_quotient,
 )
@@ -80,6 +82,15 @@ def test_element_of():
     assert q.element_of(parse_word("ab")) == 4
     assert q.element_of(parse_word("ba")) == q.zero
     assert q.element_of(EPSILON) == q.one
+
+
+def test_element_of_a_presented_monoid():
+    # only a Rees quotient sends an unknown label to the zero: in A21
+    # bb = b, which is labeled "b"
+    m = from_presentation(preset("A21"))
+    assert m.element_of("b") == 2
+    assert m.element_of("bb") is None
+    assert m.element_of("xyz") is None
 
 
 def test_multiplication_examples():
@@ -244,3 +255,8 @@ def test_parse_word_set():
         parse_word_set("wn:one")
     with pytest.raises(ParseError):
         parse_word_set("wn:")
+    # the position counts from the start of the whole list
+    with pytest.raises(ParseError, match=r"at position 4\)") as info:
+        parse_word_set("ab,a$")
+    assert info.value.position == 4
+    assert info.value.message == "unexpected character '$'"

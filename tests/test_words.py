@@ -138,6 +138,12 @@ def test_parse_empty_word_spelling():
         parse_word("x^")
 
 
+def test_parse_error_position_counts_leading_whitespace():
+    with pytest.raises(ParseError) as info:
+        parse_word("  a$")
+    assert info.value.position == 3
+
+
 def test_emit_roundtrip_examples():
     for text in ("aabb", "abab", W1_TEXT, "1", "z_1", "y^2.", "x.y^2"):
         assert str(parse_word(text)) == text
