@@ -39,6 +39,7 @@ DEFAULT_TABLE_BUDGET = 10**8
 DEFAULT_MATCH_BUDGET = 10**6
 
 _CHUNK = 1 << 16
+_FIRST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -172,52 +173,81 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     failing substitution found is the canonical least witness, and
     ``evaluations`` is its one-based position (or the total on HOLDS).
 
-    The enumeration runs in blocks.  The t trailing variables, t the
-    largest count with order^t <= ``_CHUNK`` (at least one), are
-    ``arange`` axes broadcast against each other; the leading variables
-    are plain ints fixed per block, taken in odometer order.  Each side
-    folds left to right through the table and stays a scalar until its
-    first trailing letter, so the letters before it cost one lookup per
-    block.  Only the first ``budget`` substitutions are searched; a
-    witness-free search that stops short of the total raises
+    The enumeration runs in blocks of numpy broadcast products whose
+    wanted size starts at ``_FIRST_BLOCK`` and grows eightfold per block
+    up to ``_CHUNK``, so a witness near the start costs a small block.
+    With n the order and k the number of variables (variables and base-n
+    digits counted from 0, most significant first), a block starting at
+    odometer position ``start`` with wanted size ``want`` is an aligned
+    range: s is the largest count (at most k) with n^(s-1) dividing
+    ``start`` and n^(s-1) <= ``want``; the first k-s variables are plain
+    ints read off the base-n digits of ``start``; variable k-s runs over
+    ``arange(lo, lo + m)`` with lo its digit in ``start`` and
+    m = min(n - lo, want // n^(s-1)); the last s-1 variables are full
+    ``arange(n)`` axes.  Each side folds left to right through the table
+    and stays a scalar until its first letter with an axis, so the
+    letters before it cost one lookup per block.
+
+    **Lemma.** The blocks tile [0, n^k) in increasing order, and the C
+    order of a block's positions is their odometer order, so the first
+    mismatch found is the least witness.
+
+    **Proof.** The last s-1 digits of ``start`` are zero, because
+    n^(s-1) divides it, and its digit k-s is lo.  Since m >= 1
+    (n^(s-1) <= want) and lo + m <= n, the block's substitutions are
+    exactly those whose first k-s digits are those of ``start`` and whose
+    digit k-s lies in [lo, lo + m), that is the positions
+    ``start`` .. ``start`` + m * n^(s-1) - 1 with no carry into the fixed
+    digits.  The next block starts right after it, so the blocks are
+    consecutive, disjoint and cover [0, n^k).  In the block's shape
+    (m, n, ..., n) the C order moves the last axis fastest, which is the
+    odometer order on the digits k-s .. k-1, so flat offset ``off`` is
+    position ``start + off``.
+
+    Only the first ``budget`` substitutions are searched; a witness-free
+    search that stops short of the total raises
     :class:`BudgetExceededError`.
     """
     variables = sorted(ident.lhs.alphabet | ident.rhs.alphabet)
     k = len(variables)
     n = monoid.order
     total = n**k
-    t = 1
-    while t < k and n ** (t + 1) <= _CHUNK:
-        t += 1
-    lead = k - t
-    block = n**t
-    shape = (n,) * t
-    axes = [np.arange(n).reshape((n,) + (1,) * (t - 1 - j)) for j in range(t)]
+    axes = [np.arange(n).reshape((n,) + (1,) * (k - 1 - j)) for j in range(k)]
     var_pos = {v: i for i, v in enumerate(variables)}
     lhs_seq = [var_pos[l] for l in ident.lhs.letters]
     rhs_seq = [var_pos[l] for l in ident.rhs.letters]
     table = monoid.table
     one = monoid.one
 
-    def fold(seq, prefix):
+    def digits(pos):
+        return [pos // n ** (k - 1 - j) % n for j in range(k)]
+
+    def fold(seq, values):
         acc = one
         for vi in seq:
-            acc = table[acc, prefix[vi] if vi < lead else axes[vi - lead]]
+            acc = table[acc, values[vi]]
         return acc
 
     # with no variables the one substitution is the empty one, and 1 = 1
-    prefixes = itertools.product(range(n), repeat=lead) if k else ()
-    for b, prefix in enumerate(prefixes):
-        start = b * block
-        if start >= budget:
-            break
-        neq = fold(lhs_seq, prefix) != fold(rhs_seq, prefix)
+    start = 0 if k else total
+    want = min(_FIRST_BLOCK, _CHUNK)
+    while start < min(total, budget):
+        s, step = 1, 1
+        while s < k and start % (step * n) == 0 and step * n <= want:
+            s, step = s + 1, step * n
+        *head, lo = digits(start)[: k - s + 1]
+        m = min(n - lo, want // step)
+        first = np.arange(lo, lo + m).reshape((m,) + (1,) * (s - 1))
+        values = head + [first] + axes[k - s + 1 :]
+        neq = fold(lhs_seq, values) != fold(rhs_seq, values)
         off = int(np.argmax(neq))
         if neq.flat[off]:
             if start + off >= budget:
                 break
-            witness = prefix + tuple(int(c) for c in np.unravel_index(off, shape))
+            witness = digits(start + off)
             return CheckOutcome(FAILS, Substitution.of(dict(zip(variables, witness))), start + off + 1)
+        start += m * step
+        want = min(want * 8, _CHUNK)
     if budget < total:
         spent = max(budget, 0)
         raise BudgetExceededError(

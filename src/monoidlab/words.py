@@ -124,11 +124,12 @@ def _parse_dotted(text: str) -> list[Letter]:
     pos = 0
     for raw in text.removesuffix(".").split("."):
         tok = raw.strip()
+        at = pos + len(raw) - len(raw.lstrip())
         if not tok:
-            raise ParseError("empty token in dotted word", pos)
+            raise ParseError("empty token in dotted word", at)
         m = _TOKEN_RE.fullmatch(tok)
         if not m:
-            raise ParseError(f"bad letter token {tok!r}", pos)
+            raise ParseError(f"bad letter token {tok!r}", at)
         base, sub, sup = m.groups()
         out.append(Letter(base, int(sub) if sub is not None else None, int(sup) if sup is not None else None))
         pos += len(raw) + 1

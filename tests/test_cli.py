@@ -141,6 +141,8 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "check", "--monoid", "rees:aabb", "--identity", "xy = x$")
     assert code == 2 and "at position 6" in err
+    code, _, err = run(capsys, "check", "--monoid", "rees:aabb", "--identity", "x = a. $")
+    assert code == 2 and "at position 7" in err
     # a ValueError from the library exits 2 as well
     code, _, err = run(capsys, "wn", "0")
     assert code == 2 and err.startswith("error: ")

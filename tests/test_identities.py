@@ -73,7 +73,7 @@ def test_parse_identity_errors():
     with pytest.raises(ParseError):
         parse_identity("x = ?")
     # positions count from the start of the identity text
-    for text, position in (("xy = x$", 6), (" x = y.z_", 7), ("x$ = y", 1)):
+    for text, position in (("xy = x$", 6), (" x = y.z_", 7), ("x$ = y", 1), ("x = a. $", 7)):
         with pytest.raises(ParseError) as info:
             parse_identity(text)
         assert info.value.position == position, text
@@ -238,10 +238,15 @@ def _block_test_identity(rng, k):
     return Identity(Word(tuple(lhs)), Word(tuple(rhs)))
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 7, 25, 26, 100, 125])
-def test_check_table_blocks_agree_with_plain_loop(monkeypatch, chunk):
-    # Small chunks split order-5 and order-10 tables into blocks of one
-    # trailing variable or several, behind zero to three leading ones.
+_BLOCK_SIZES = [(1, 1), (1, 4), (1, 7), (2, 25), (3, 26), (4, 100), (256, 125)]
+
+
+@pytest.mark.parametrize("first, chunk", _BLOCK_SIZES, ids=[str(c) for _, c in _BLOCK_SIZES])
+def test_check_table_blocks_agree_with_plain_loop(monkeypatch, first, chunk):
+    # Small first blocks and chunks split order-5 and order-10 tables into
+    # aligned ranges whose first axis is partial (m < n) and whose count of
+    # axes changes in mid-walk, behind zero to three leading ints.
+    monkeypatch.setattr(identities, "_FIRST_BLOCK", first)
     monkeypatch.setattr(identities, "_CHUNK", chunk)
     rng = random.Random(chunk)
     q_ab = rees_quotient(ws("ab"))
@@ -266,6 +271,27 @@ def test_check_table_blocks_agree_with_plain_loop(monkeypatch, chunk):
                     assert (err.args, err.spent, err.limit) == ((message,), budget, budget)
                 else:
                     assert check_table(m, ident, budget) == out
+
+
+@pytest.mark.parametrize(
+    "text, index",
+    [
+        ("yzxx = xzxyxx", 38),
+        ("xyyz = yxzxy", 83),
+        ("yxy = yxyy", 216),
+        ("zyyzy = yyxzxz", 1226),
+        ("xzzyx = zxxzyx", 2871),
+        ("yzxz = yxzz", 7356),
+    ],
+)
+def test_check_table_witness_past_first_axis_on_w1(text, index):
+    # M({w_1}) has order 35: these witnesses (random_identity draws) lie
+    # past position n, the last three past n^2, in the default blocks
+    m = rees_quotient(WordSet.of([generate_wn(1)]))
+    ident = parse_identity(text)
+    out = check_table(m, ident)
+    assert (out.status, out.evaluations) == (FAILS, index)
+    assert (out.evaluations, out.witness) == _least_witness(m, ident)
 
 
 def test_match_pattern_xy_into_ab():

@@ -260,3 +260,6 @@ def test_parse_word_set():
         parse_word_set("ab,a$")
     assert info.value.position == 4
     assert info.value.message == "unexpected character '$'"
+    with pytest.raises(ParseError) as info:
+        parse_word_set("ab,a. $")
+    assert info.value.position == 6

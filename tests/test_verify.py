@@ -187,6 +187,12 @@ def test_cross_check_small_run():
     assert result.discrepancy is None
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_cross_check_full_run_on_more_corpora(seed):
+    result = cross_check_checkers(seed, 200)
+    assert (result.ok, result.checked, result.discrepancy) == (True, 200 * 7, None)
+
+
 def test_cross_check_vacuous():
     result = cross_check_checkers(seed=1, count=0)
     assert result.ok and result.checked == 0

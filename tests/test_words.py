@@ -144,6 +144,14 @@ def test_parse_error_position_counts_leading_whitespace():
     assert info.value.position == 3
 
 
+@pytest.mark.parametrize("text, position", [(" a. $", 4), ("a. $", 3), ("a.. b", 2)])
+def test_dotted_error_position_points_at_token(text, position):
+    # whitespace after a dot is skipped; an empty token sits at its dot
+    with pytest.raises(ParseError) as info:
+        parse_word(text)
+    assert info.value.position == position
+
+
 def test_emit_roundtrip_examples():
     for text in ("aabb", "abab", W1_TEXT, "1", "z_1", "y^2.", "x.y^2"):
         assert str(parse_word(text)) == text
