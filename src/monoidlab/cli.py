@@ -34,7 +34,9 @@ from .words import INFINITY, depth_map, generate_wn, parse_word
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    # one compact line: pretty-printing routes json.dumps through its
+    # pure-Python encoder, which costs more than building most payloads
+    print(json.dumps(payload))
 
 
 def _cmd_rees(args) -> int:

@@ -186,7 +186,12 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     m = min(n - lo, want // n^(s-1)); the last s-1 variables are full
     ``arange(n)`` axes.  Each side folds left to right through the table
     and stays a scalar until its first letter with an axis, so the
-    letters before it cost one lookup per block.
+    letters before it cost one lookup per block.  The fold carries row
+    offsets, not elements: with ``rows[s * n + t] = table[s, t] * n`` one
+    flat gather ``rows[acc + t]`` takes the offset of s to that of st, and
+    two offsets are equal exactly when their elements are.  Offsets and
+    gather indices stay below n * n, so ``rows`` is int32 while
+    n * n < 2^31 (the table's own dtype, with no overflow) and intp above.
 
     **Lemma.** The blocks tile [0, n^k) in increasing order, and the C
     order of a block's positions is their odometer order, so the first
@@ -216,8 +221,9 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     var_pos = {v: i for i, v in enumerate(variables)}
     lhs_seq = [var_pos[l] for l in ident.lhs.letters]
     rhs_seq = [var_pos[l] for l in ident.rhs.letters]
-    table = monoid.table
-    one = monoid.one
+    dtype = np.int32 if n * n < 2**31 else np.intp
+    rows = (monoid.table.astype(dtype, copy=False) * n).ravel()
+    one = monoid.one * n
 
     def digits(pos):
         return [pos // n ** (k - 1 - j) % n for j in range(k)]
@@ -225,7 +231,7 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     def fold(seq, values):
         acc = one
         for vi in seq:
-            acc = table[acc, values[vi]]
+            acc = rows[acc + values[vi]]
         return acc
 
     # with no variables the one substitution is the empty one, and 1 = 1
@@ -297,7 +303,7 @@ class _Coding:
         return out
 
     def substitution(self, variables, values) -> Substitution:
-        return Substitution(tuple((v, self.word(seg)) for v, seg in zip(variables, values)))
+        return Substitution(tuple(zip(variables, map(self.word, values))))
 
 
 def _values_key(vals) -> tuple:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from .errors import ParseError
 
@@ -104,7 +104,10 @@ class Word:
     def alphabet(self) -> frozenset[Letter]:
         return frozenset(self.letters)
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
+        # words are immutable, so each one is spelled once; the cache sits
+        # outside the dataclass fields, so equality and hashing ignore it
         ls = self.letters
         if not ls:
             return "1"
@@ -114,6 +117,9 @@ class Word:
             # the trailing dot keeps y^2 dotted when read back
             return f"{ls[0]}."
         return ".".join(map(str, ls))
+
+    def __str__(self) -> str:
+        return self._text
 
 
 EPSILON = Word()

@@ -7,8 +7,24 @@ import json
 
 import pytest
 
-from monoidlab import FAILS, HOLDS, HomomorphismViolationError, cli, parse_identity, parse_word
+from monoidlab import (
+    FAILS,
+    HOLDS,
+    INFINITY,
+    HomomorphismViolationError,
+    check_rees,
+    check_table,
+    cli,
+    depth_map,
+    enumerate_small_rees,
+    match_pattern,
+    parse_identity,
+    parse_word,
+    parse_word_set,
+    rees_quotient,
+)
 from monoidlab.cli import main
+from monoidlab.verify import substitution_to_dict
 
 W1_TEXT = "z_1.t_1.x.z_1.y_1^1.x.y_1^0.y_1^1"
 
@@ -223,6 +239,49 @@ def test_rees_json_schema(capsys):
     assert len(data["elements"]) == 10
     assert data["elements"][0] == "1" and data["elements"][-1] == "0"
     assert all(len(row) == 10 for row in data["table"])
+
+
+def _expected_check_both(words: str, identity: str) -> dict:
+    word_set, ident = parse_word_set(words), parse_identity(identity)
+    q = rees_quotient(word_set)
+    payload = {}
+    for name, out in (("table", check_table(q, ident)), ("rees", check_rees(word_set, ident))):
+        witness = None if out.witness is None else substitution_to_dict(out.witness, q)
+        payload[name] = {"status": out.status, "witness": witness, "evaluations": out.evaluations}
+    payload["agree"] = payload["table"]["status"] == payload["rees"]["status"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("rees", "aabb"), lambda: rees_quotient(parse_word_set("aabb")).to_json_dict()),
+        (
+            ("depth", "abab"),
+            lambda: {
+                str(l): ("inf" if d == INFINITY else d)
+                for l, d in sorted(depth_map(parse_word("abab")).items())
+            },
+        ),
+        (
+            ("check", "--monoid", "rees:aabb", "--identity", "xy=yx", "--method", "both"),
+            lambda: _expected_check_both("aabb", "xy=yx"),
+        ),
+        (
+            ("match", "xy", "aabb"),
+            lambda: [substitution_to_dict(s) for s in match_pattern(parse_word("xy"), parse_word("aabb"))],
+        ),
+        (
+            ("enumerate",),
+            lambda: [{"word": str(w), "order": o} for w, o in enumerate_small_rees()],
+        ),
+    ],
+    ids=["rees", "depth", "check-both", "match", "enumerate"],
+)
+def test_json_output_is_one_compact_line(capsys, argv, expected):
+    _, out, err = run(capsys, *argv, "--json")
+    assert err == ""
+    assert out == json.dumps(expected()) + "\n"
 
 
 def test_rees_empty_set(capsys):

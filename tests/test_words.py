@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import subprocess
@@ -27,6 +28,7 @@ from monoidlab import (
     is_square_free,
     length2_profile,
     letter_positions,
+    match_pattern,
     min_nonlinear_simplefree_factor,
     occurrence_positions,
     parse_word,
@@ -400,3 +402,53 @@ def test_length2_profile_matches_definition(w):
         for p in range(len(ls) - 1)
     )
     assert length2_profile(w) == Length2Profile(unique, first_last)
+
+
+def _spelled(w):
+    """The documented text of ``w``, written out independently of ``Word``."""
+    if not w.letters:
+        return "1"
+    tokens = [
+        chr(base) + (f"_{sub}" if sub >= 0 else "") + (f"^{sup}" if sup >= 0 else "")
+        for base, sub, sup in w.letters
+    ]
+    if all(t.isalpha() for t in tokens):
+        return "".join(tokens)
+    text = ".".join(tokens)
+    # a text is read dotted only with a dot or an underscore in it
+    return text if "." in text or "_" in text else text + "."
+
+
+plain_words = st.builds(lambda bases: Word(tuple(map(Letter, bases))), st.text("abxyz", max_size=8))
+texted_words = st.one_of(
+    plain_words,
+    words,
+    st.just(Word((Letter("y", None, 2),))),
+    st.just(EPSILON),
+)
+
+
+@given(texted_words, st.sampled_from([copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))]))
+def test_word_text_is_built_once_and_survives_copies(w, clone):
+    before = clone(w)  # a copy taken before this test asks for the text
+    text = str(w)
+    assert text == _spelled(w)
+    assert str(w) is text
+    assert parse_word(text) == w
+    fresh = Word(tuple(w.letters))
+    for other in (before, clone(w)):
+        assert str(other) == text
+        assert other == fresh and hash(other) == hash(fresh)
+    # the fresh word has never been printed: the cached text is not a field
+    assert fresh == w and hash(fresh) == hash(w)
+    assert str(fresh) == text
+
+
+def test_shared_match_words_print_as_parsed_ones():
+    subs = match_pattern(parse_word("xyx"), generate_wn(2))
+    values = [v for s in subs for _, v in s.assignment]
+    # the matcher shares one word per coded segment
+    assert len({id(v) for v in values}) < len(values)
+    for v in values:
+        assert str(v) == _spelled(v) == str(parse_word(_spelled(v)))
+        assert parse_word(str(v)) == v
