@@ -298,39 +298,17 @@ def preset(name: str) -> Presentation:
     )
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, key) -> None:
-        self.parent.setdefault(key, key)
-
-    def find(self, key):
-        p = self.parent
-        root = key
-        while p[root] != root:
-            root = p[root]
-        while p[key] != root:
-            p[key], key = root, p[key]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _occurrences(haystack: tuple, needle: tuple) -> list[int]:
-    k = len(needle)
-    return [i for i in range(len(haystack) - k + 1) if haystack[i : i + k] == needle]
-
-
 def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter, int]]:
     """The table of the presented monoid from the word classes at
     ``bound``, and each generator's element.
 
-    A union-find closes the words of length at most ``bound`` under the
-    relations.  A shortlex walk of the right Cayley graph then starts at
+    One pass over the relations closes the words of length at most
+    ``bound`` in a union-find, ``link``, with :data:`ZERO` as one more
+    node: each occurrence of a left side in a word joins the word to
+    ``ZERO`` for a zero relation, and to its rewrite, when that fits in
+    the bound, for any other; without a zero, ``ZERO`` stays alone.
+    When the identity's class is the zero's, the result is the trivial
+    monoid.  Otherwise a shortlex walk of the right Cayley graph starts at
     the identity, the empty word's class, and, for each class it has
     found, in order, follows the class's label times each generator; a
     class is labeled by the first word that reaches it, and the zero
@@ -341,32 +319,30 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
     which can lead to a shorter class, the identity or the zero.
     """
     gens = sorted(pres.generators)
-    universe: list[tuple[Letter, ...]] = []
-    for length in range(bound + 1):
-        universe.extend(itertools.product(gens, repeat=length))
-    uf = _UnionFind()
-    for w in universe:
-        uf.add(w)
-    if pres.has_zero:
-        uf.add(ZERO)
-    for lhs, rhs in pres.relations:
-        lt = lhs.letters
-        if rhs is ZERO:
-            for w in universe:
-                if _occurrences(w, lt):
-                    uf.union(w, ZERO)
-        else:
-            rt = rhs.letters
-            for w in universe:
-                for i in _occurrences(w, lt):
-                    w2 = w[:i] + rt + w[i + len(lt) :]
-                    if len(w2) <= bound:
-                        uf.union(w, w2)
+    universe = [w for n in range(bound + 1) for w in itertools.product(gens, repeat=n)]
+    link = {w: w for w in (*universe, ZERO)}
 
-    zero_root = uf.find(ZERO) if pres.has_zero else None
-    one_root = uf.find(())
+    def find(x):
+        while link[x] != x:
+            link[x] = link[link[x]]            # path halving
+            x = link[x]
+        return x
+
+    for lhs, rhs in pres.relations:
+        lt, k = lhs.letters, len(lhs)
+        for w in universe:
+            for i in range(len(w) - k + 1):
+                if w[i : i + k] != lt:
+                    continue
+                if rhs is ZERO:
+                    link[find(w)] = find(ZERO)
+                elif len(w) - k + len(rhs) <= bound:
+                    link[find(w)] = find(w[:i] + rhs.letters + w[i + k :])
+
+    zero_root = find(ZERO)
+    one_root = find(())
     if one_root == zero_root:
-        # 1 = 0, so every word is 0: the trivial monoid
+        # 1 = 0, so every element is 0, even words the bound keeps apart
         return from_table((EPSILON,), 0, [[0]], zero=0), dict.fromkeys(pres.generators, 0)
     # the shortlex walk of the right Cayley graph from the identity
     index = {one_root: 0}
@@ -378,7 +354,7 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
                 f"class {Word(rep)} times {gens[0]} has length {bound + 1}, "
                 f"beyond the closure bound {bound}"
             )
-        rows.append([uf.find(rep + (g,)) for g in gens])
+        rows.append([find(rep + (g,)) for g in gens])
         for c, root in enumerate(rows[-1]):
             if root != zero_root and root not in index:
                 index[root] = len(reps)
@@ -387,7 +363,7 @@ def _closure(pres: Presentation, bound: int) -> tuple[FiniteMonoid, dict[Letter,
                 last.append(c)
     labels = [EPSILON, *map(Word, reps[1:])]
     zero = None
-    if zero_root is not None:
+    if pres.has_zero:
         zero = index[zero_root] = len(reps)
         rows.append([zero_root] * len(gens))
         labels.append(ZERO_LABEL)

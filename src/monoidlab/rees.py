@@ -49,6 +49,24 @@ def _factor_graph(word_set: WordSet):
     return element, code, parent, last, delta
 
 
+def _order_floor(word_set: WordSet) -> int:
+    """A lower bound on the order of ``M(W)`` that enumerates no factor
+    longer than 32 letters.  The longest word's prefixes are distinct
+    factors, so the order is at least its length plus 2 (the identity
+    and the zero).  When W may have more than :data:`TABLE_ORDER_LIMIT`
+    factors (2 plus the sum of L(L+1)/2 over its words counts them with
+    repeats), the order is also at least 2 plus the distinct factors of
+    lengths 1 to 32, counted one length at a time until the total passes
+    the limit; a prefix bound already past the limit skips the count."""
+    words = [w.letters for w in word_set]
+    floor, count = max(map(len, words), default=0) + 2, 2
+    if floor <= TABLE_ORDER_LIMIT < 2 + sum(len(w) * (len(w) + 1) // 2 for w in words):
+        for k in range(1, 33):
+            if count <= TABLE_ORDER_LIMIT:
+                count += len({w[i : i + k] for w in words for i in range(len(w) - k + 1)})
+    return max(floor, count)
+
+
 def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     """Construct ``M(W)``: identity first, factors shortlex, zero last.
 
@@ -59,17 +77,20 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     :func:`from_table` then validates the table; its greedy generating set
     is the letters, so Light's test costs one comparison per letter.  Raises
     :class:`BudgetExceededError` before allocating a table of more than
-    :data:`TABLE_ORDER_LIMIT` elements.
+    :data:`TABLE_ORDER_LIMIT` elements, and before enumerating the factors
+    when :func:`_order_floor` already passes the limit.
     """
-    element, _, parent, last, delta = _factor_graph(word_set)
-    zero = len(element)
-    n = zero + 1
+    n, at_least = _order_floor(word_set), "at least "
+    if n <= TABLE_ORDER_LIMIT:
+        element, _, parent, last, delta = _factor_graph(word_set)
+        n, at_least = len(element) + 1, ""
     if n > TABLE_ORDER_LIMIT:
         raise BudgetExceededError(
-            f"the quotient has order {n}, above the table limit of {TABLE_ORDER_LIMIT}",
+            f"the quotient has order {at_least}{n}, above the table limit of {TABLE_ORDER_LIMIT}",
             n,
             TABLE_ORDER_LIMIT,
         )
+    zero = n - 1
     labels = tuple(Word(t) for t in element) + (ZERO_LABEL,)
     monoid = from_table(labels, 0, _cayley_table(parent, last, delta, zero), zero=zero)
     return dataclasses.replace(monoid, word_set=word_set)

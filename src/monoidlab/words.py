@@ -88,9 +88,6 @@ class Word:
     def __getitem__(self, index):
         return self.letters[index]
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __add__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 

@@ -262,11 +262,14 @@ def test_single_relation_collapse_to_identity():
 
 
 def test_one_equals_zero_collapses_to_trivial():
-    # aa = 1 and aaaa = 0 give 1 = aaaa = 0; so do b = 1 and bb = 0
+    # aa = 1 and aaaa = 0 give 1 = aaaa = 0; so do b = 1 and bb = 0.  With
+    # b = 0 and b = 1 at bound 1, 1 = b = 0 while the word a stays in its own
+    # class (ab is beyond the bound), so only the 1 = 0 test gives order 1
     a, b = Letter("a"), Letter("b")
     cases = [
         ((a,), (("aa", "1"), ("aaaa", None)), 5),
         ((a, b), (("bb", None), ("b", "1"), ("a", "1")), 3),
+        ((a, b), (("b", None), ("b", "1")), 1),
     ]
     for gens, rels, bound in cases:
         relations = tuple(
@@ -277,6 +280,9 @@ def test_one_equals_zero_collapses_to_trivial():
         assert m.order == 1
         assert m.one == m.zero == 0
         assert m.label_text(0) == "1"
+        closed, gen_index = monoid_module._closure(p, bound)
+        assert closed.order == 1
+        assert gen_index == dict.fromkeys(gens, 0)
 
 
 def test_certificate_rejects_a_failing_relation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from monoidlab import (
     quotient_map,
     rees_quotient,
 )
+from monoidlab.words import factor_tuples
 
 
 def ws(*texts):
@@ -235,6 +237,40 @@ def test_table_limit_raises_before_building_the_table():
         tracemalloc.stop()
     # the int32 table alone would take 8258^2 * 4 bytes, about 273 MB
     assert peak < 64 * 2**20, peak
+
+
+def random_abc(rng, length):
+    return "".join(rng.choice("abc") for _ in range(length))
+
+
+@pytest.mark.parametrize("text, floor", [
+    (random_abc(random.Random(0), 1500), None),
+    ("a" * 9000, 9002),
+], ids=["random-1500", "a^9000"])
+def test_table_limit_refuses_before_enumerating_factors(monkeypatch, text, floor):
+    # a random 1500-letter word over abc has about 1.1 million factors; a^9000
+    # has 9,001, and its prefixes alone pass the limit
+    def unreachable(word_set):
+        raise AssertionError("the factors were enumerated")
+
+    monkeypatch.setattr(rees_mod, "_factor_graph", unreachable)
+    with pytest.raises(BudgetExceededError, match="order at least .*, above the table limit of 8192") as info:
+        rees_quotient(WordSet.of([parse_word(text)]))
+    assert info.value.spent > rees_mod.TABLE_ORDER_LIMIT
+    assert floor in (None, info.value.spent)
+
+
+def test_order_floor_is_a_lower_bound():
+    rng = random.Random(0)
+    for _ in range(40):
+        words = [random_abc(rng, rng.randint(60, 160)) for _ in range(rng.randint(1, 3))]
+        word_set = WordSet.of(parse_word(w) for w in words)
+        order = len(factor_tuples(w.letters for w in word_set)) + 1
+        assert rees_mod._order_floor(word_set) <= order, words
+    # the 128 distinct letters of the table-limit tests: the bound stays under
+    # the limit, so the refusal names the exact order 8258
+    word = parse_word(".".join(f"a_{i}" for i in range(128)))
+    assert rees_mod._order_floor(WordSet.of([word])) == 3602
 
 
 def test_identities_survive_quotients():

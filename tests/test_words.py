@@ -169,6 +169,8 @@ def test_word_concat_and_order():
     a, b = parse_word("a"), parse_word("b")
     assert a + b == parse_word("ab")
     assert EPSILON + a == a
+    # truth is length: the empty word is false, any other word true
+    assert not EPSILON and bool(a)
     assert sorted([parse_word("b"), parse_word("aa"), EPSILON, a], key=Word.shortlex_key) == [
         EPSILON,
         a,
