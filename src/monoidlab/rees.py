@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, HomomorphismViolationError, NotSubsetError, ParseError
 from .monoid import ZERO_LABEL, FiniteMonoid, _cayley_table, from_table
-from .words import Word, WordSet, factor_tuples, generate_wn, parse_words
+from .words import INFINITY, Word, WordSet, factor_trie, generate_wn, parse_words
 
 # The largest order rees_quotient builds a table for: 256 MB of int32.
 # It is above every table the claim suite and the tests build, and above
@@ -23,48 +23,37 @@ from .words import Word, WordSet, factor_tuples, generate_wn, parse_words
 TABLE_ORDER_LIMIT = 8192
 
 
-def _factor_graph(word_set: WordSet):
-    """The factors of ``word_set`` and the right Cayley graph of ``M(W)``.
+def _factor_graph(word_set: WordSet, limit=INFINITY):
+    """The factors of ``word_set`` and the right Cayley graph of ``M(W)``,
+    read off :func:`~monoidlab.words.factor_trie`.
 
     Returns ``(element, code, parent, last, delta)``.  ``element`` maps
     each factor, a tuple of letters, to its element, in element order:
-    identity first and the rest shortlex; the zero is element
+    identity first and the rest shortlex, by the trie's lemma (its
+    breadth-first walk with sorted children lists the factors by length,
+    then by parent, then by last letter); the zero is element
     ``len(element)``.  ``code`` numbers the letters of W in order.  The
-    factors form a trie: each nonempty factor ``i`` is factor
+    factors form the trie: each nonempty factor ``i`` is factor
     ``parent[i]`` followed by letter ``last[i]``, and the trie's nodes
     are exactly the nonzero elements.  ``delta[i, c]`` is the
     element of factor ``i`` followed by letter ``c``, or the zero, in
     every row including the zero's.
+
+    When W has more than ``limit`` factors (the empty one included), the
+    trie stops early, and the result is its node count in place of the
+    graph: an int that exceeds ``limit`` and is at most the number of
+    factors, since the nodes are distinct factors.
     """
-    tuples = factor_tuples(w.letters for w in word_set)
+    trie = factor_trie((w.letters for w in word_set), limit)
+    if isinstance(trie, int):
+        return trie
+    tuples, parent = trie
     element = {t: i for i, t in enumerate(tuples)}
-    zero = len(tuples)
     code = {l: c for c, l in enumerate(sorted({l for w in word_set for l in w.letters}))}
-    parent = np.zeros(zero, dtype=np.intp)
-    last = np.zeros(zero, dtype=np.intp)
-    parent[1:] = [element[t[:-1]] for t in tuples[1:]]
-    last[1:] = [code[t[-1]] for t in tuples[1:]]
-    delta = np.full((zero + 1, len(code)), zero, dtype=np.int32)
-    delta[parent[1:], last[1:]] = np.arange(1, zero)
+    last = [0] + [code[t[-1]] for t in tuples[1:]]
+    delta = np.full((len(tuples) + 1, len(code)), len(tuples), dtype=np.int32)
+    delta[parent[1:], last[1:]] = np.arange(1, len(tuples))
     return element, code, parent, last, delta
-
-
-def _order_floor(word_set: WordSet) -> int:
-    """A lower bound on the order of ``M(W)`` that enumerates no factor
-    longer than 32 letters.  The longest word's prefixes are distinct
-    factors, so the order is at least its length plus 2 (the identity
-    and the zero).  When W may have more than :data:`TABLE_ORDER_LIMIT`
-    factors (2 plus the sum of L(L+1)/2 over its words counts them with
-    repeats), the order is also at least 2 plus the distinct factors of
-    lengths 1 to 32, counted one length at a time until the total passes
-    the limit; a prefix bound already past the limit skips the count."""
-    words = [w.letters for w in word_set]
-    floor, count = max(map(len, words), default=0) + 2, 2
-    if floor <= TABLE_ORDER_LIMIT < 2 + sum(len(w) * (len(w) + 1) // 2 for w in words):
-        for k in range(1, 33):
-            if count <= TABLE_ORDER_LIMIT:
-                count += len({w[i : i + k] for w in words for i in range(len(w) - k + 1)})
-    return max(floor, count)
 
 
 def rees_quotient(word_set: WordSet) -> FiniteMonoid:
@@ -75,22 +64,24 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     gather that also builds every presented monoid: one numpy gather per
     factor length, O(F^2) numpy work and O(F) Python steps for F factors.
     :func:`from_table` then validates the table; its greedy generating set
-    is the letters, so Light's test costs one comparison per letter.  Raises
-    :class:`BudgetExceededError` before allocating a table of more than
-    :data:`TABLE_ORDER_LIMIT` elements, and before enumerating the factors
-    when :func:`_order_floor` already passes the limit.
+    is the letters, so Light's test costs one comparison per letter.
+
+    Raises :class:`BudgetExceededError`, before allocating a table, when
+    the order passes :data:`TABLE_ORDER_LIMIT`.  This is the one refusal:
+    :func:`_factor_graph` runs with the limit ``TABLE_ORDER_LIMIT - 1`` on
+    factors, and its trie stops at the first suffix that passes it.  The
+    trie's nodes are distinct factors, listed shortlex by the trie's lemma
+    when it finishes, so a capped node count F gives the lower bound
+    N = F + 1 on the order (the zero is an element too), and the message
+    says "order at least N".  A suffix adds at most its length in nodes,
+    so N exceeds the limit by at most the length of the longest word.
     """
-    n, at_least = _order_floor(word_set), "at least "
-    if n <= TABLE_ORDER_LIMIT:
-        element, _, parent, last, delta = _factor_graph(word_set)
-        n, at_least = len(element) + 1, ""
-    if n > TABLE_ORDER_LIMIT:
-        raise BudgetExceededError(
-            f"the quotient has order {at_least}{n}, above the table limit of {TABLE_ORDER_LIMIT}",
-            n,
-            TABLE_ORDER_LIMIT,
-        )
-    zero = n - 1
+    graph = _factor_graph(word_set, TABLE_ORDER_LIMIT - 1)
+    if isinstance(graph, int):
+        msg = f"the quotient has order at least {graph + 1}, above the table limit of {TABLE_ORDER_LIMIT}"
+        raise BudgetExceededError(msg, graph + 1, TABLE_ORDER_LIMIT)
+    element, _, parent, last, delta = graph
+    zero = len(element)
     labels = tuple(Word(t) for t in element) + (ZERO_LABEL,)
     monoid = from_table(labels, 0, _cayley_table(parent, last, delta, zero), zero=zero)
     return dataclasses.replace(monoid, word_set=word_set)

@@ -38,7 +38,7 @@ from .words import (
     Word,
     WordSet,
     depth_map,
-    factor_tuples,
+    factor_trie,
     generate_wn,
     is_square_free,
     length2_profile,
@@ -514,7 +514,9 @@ def enumerate_small_rees(max_len: int = 8, max_order: int = 10) -> list[tuple[Wo
     so the next level is sorted too, and the results come out in shortlex
     order.  A word of length L has the L + 1
     distinct prefixes as factors, so its order is at least L + 2 and the
-    walk ends by itself after length ``max_order - 2``.
+    walk ends by itself after length ``max_order - 2``.  Each shape's
+    factor trie runs with the limit ``max_order - 1``, so a shape past the
+    bound stops at the first suffix that passes it.
     """
     results = []
     level = [()]
@@ -523,12 +525,12 @@ def enumerate_small_rees(max_len: int = 8, max_order: int = 10) -> list[tuple[Wo
         for shape in level:
             for v in range(max(shape, default=-1) + 2):
                 longer = shape + (v,)
-                order = len(factor_tuples([longer])) + 1
-                if order > max_order:
+                trie = factor_trie([longer], max_order - 1)
+                if isinstance(trie, int):
                     continue
                 grown.append(longer)
                 if sum(c >= 2 for c in Counter(longer).values()) >= 2:
-                    results.append((Word(tuple(Letter(chr(ord("a") + i)) for i in longer)), order))
+                    results.append((Word(tuple(Letter(chr(ord("a") + i)) for i in longer)), len(trie[0]) + 1))
         level = grown
     return results
 

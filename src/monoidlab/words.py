@@ -25,6 +25,7 @@ value (the emitters never use the repetition shorthand).
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -225,20 +226,52 @@ def letter_positions(w: Word) -> dict[Letter, list[int]]:
     return positions
 
 
-def factor_tuples(sequences) -> list[tuple]:
+def factor_trie(sequences, limit=INFINITY):
     """The distinct contiguous factors of some tuples, the empty one
-    included, sorted shortlex: by length, then by element."""
-    seen = {()}
+    included, sorted shortlex (by length, then by element), as a list
+    ``factors`` with a list ``parent``: each nonempty ``factors[i]`` is
+    ``factors[parent[i]]`` followed by one element, and ``parent[0]`` is 0.
+
+    Every suffix of every tuple goes into a trie of dicts, one element at
+    a time, so the trie's nodes are the factors: O(L^2) dict steps for
+    length L.  If a suffix leaves more than ``limit`` nodes, insertion
+    stops and the node count so far, an int, is returned in place of the
+    lists.  The nodes are distinct factors, so that count is a lower
+    bound on the number of factors; it exceeds ``limit`` by at most the
+    length of the last suffix inserted.
+
+    **Lemma.** A breadth-first walk that visits each node's children in
+    sorted order lists the nodes by length, then by parent, then by last
+    element, which is shortlex order.  **Proof.** The walk visits the
+    nodes of each length after all shorter ones.  Induct on the length:
+    the nodes of length k come out sorted, so their children come out
+    sorted by parent, then by last element; two factors of length k + 1
+    compare as their first k elements, the parents, and then as their
+    last elements.
+    """
+    root, count = {}, 1
     for seq in sequences:
-        n = len(seq)
-        seen.update(seq[i:j] for i in range(n) for j in range(i + 1, n + 1))
-    # the sort by length is stable, so each length keeps the element order
-    return sorted(sorted(seen), key=len)
+        for i in range(len(seq)):
+            node = root
+            for x in itertools.islice(seq, i, None):
+                if (child := node.get(x)) is None:
+                    child = node[x] = {}
+                    count += 1
+                node = child
+            if count > limit:
+                return count
+    nodes, factors, parent = [root], [()], [0]
+    for i, node in enumerate(nodes):   # nodes grows as the walk goes
+        for x in sorted(node):
+            nodes.append(node[x])
+            factors.append(factors[i] + (x,))
+            parent.append(i)
+    return factors, parent
 
 
 def factors(w: Word) -> list[Word]:
     """All contiguous factors of ``w`` including the empty word, shortlex sorted."""
-    return [Word(t) for t in factor_tuples([w.letters])]
+    return [Word(t) for t in factor_trie([w.letters])[0]]
 
 
 def depth_map(w: Word) -> dict[Letter, int | float]:

@@ -32,11 +32,21 @@ from monoidlab import (
     quotient_map,
     rees_quotient,
 )
-from monoidlab.words import factor_tuples
+from monoidlab.words import INFINITY, Letter, factor_trie
 
 
 def ws(*texts):
     return WordSet.of(parse_word(t) for t in texts)
+
+
+def slice_factors(sequences):
+    # brute-force oracle: every slice of every tuple, sorted shortlex
+    seen = {()}
+    for seq in sequences:
+        n = len(seq)
+        seen.update(seq[i:j] for i in range(n) for j in range(i + 1, n + 1))
+    # the sort by length is stable, so each length keeps the element order
+    return sorted(sorted(seen), key=len)
 
 
 @pytest.mark.parametrize(
@@ -210,8 +220,8 @@ def test_quotient_map_names_a_corrupted_graph_entry(monkeypatch):
     # wrong value for its entry
     t = next(i for i in range(1, len(tgt_element)) if tgt_delta[i, c] != len(tgt_element))
 
-    def corrupted(word_set):
-        graph = real(word_set)
+    def corrupted(word_set, limit=INFINITY):
+        graph = real(word_set, limit)
         if word_set == target:
             delta = graph[4].copy()
             delta[t, c] = len(tgt_element)
@@ -230,12 +240,13 @@ def test_table_limit_raises_before_building_the_table():
     word = parse_word(".".join(f"a_{i}" for i in range(128)))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="order 8258, above the table limit of 8192"):
+        # the trie stops after 118 suffixes, at 8,202 of the 8,257 factors
+        with pytest.raises(BudgetExceededError, match="order at least 8203, above the table limit of 8192"):
             rees_quotient(WordSet.of([word]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int32 table alone would take 8258^2 * 4 bytes, about 273 MB
+    # the int32 table of the true order alone would take 8258^2 * 4 bytes, about 273 MB
     assert peak < 64 * 2**20, peak
 
 
@@ -243,34 +254,45 @@ def random_abc(rng, length):
     return "".join(rng.choice("abc") for _ in range(length))
 
 
-@pytest.mark.parametrize("text, floor", [
-    (random_abc(random.Random(0), 1500), None),
+@pytest.mark.parametrize("text, bound", [
+    (random_abc(random.Random(0), 1500), 8983),
     ("a" * 9000, 9002),
 ], ids=["random-1500", "a^9000"])
-def test_table_limit_refuses_before_enumerating_factors(monkeypatch, text, floor):
+def test_table_limit_refuses_before_enumerating_factors(text, bound):
     # a random 1500-letter word over abc has about 1.1 million factors; a^9000
-    # has 9,001, and its prefixes alone pass the limit
-    def unreachable(word_set):
-        raise AssertionError("the factors were enumerated")
-
-    monkeypatch.setattr(rees_mod, "_factor_graph", unreachable)
+    # has 9,001, and its first suffix alone passes the limit.  The trie stops
+    # at the first suffix that passes the limit, and a suffix adds at most its
+    # length in factors, so the bound exceeds the limit by at most that length.
     with pytest.raises(BudgetExceededError, match="order at least .*, above the table limit of 8192") as info:
         rees_quotient(WordSet.of([parse_word(text)]))
-    assert info.value.spent > rees_mod.TABLE_ORDER_LIMIT
-    assert floor in (None, info.value.spent)
+    assert rees_mod.TABLE_ORDER_LIMIT < info.value.spent <= rees_mod.TABLE_ORDER_LIMIT + len(text)
+    assert info.value.spent == bound
 
 
-def test_order_floor_is_a_lower_bound():
+def test_factor_trie_equals_the_slicing_oracle():
     rng = random.Random(0)
-    for _ in range(40):
-        words = [random_abc(rng, rng.randint(60, 160)) for _ in range(rng.randint(1, 3))]
-        word_set = WordSet.of(parse_word(w) for w in words)
-        order = len(factor_tuples(w.letters for w in word_set)) + 1
-        assert rees_mod._order_floor(word_set) <= order, words
-    # the 128 distinct letters of the table-limit tests: the bound stays under
-    # the limit, so the refusal names the exact order 8258
-    word = parse_word(".".join(f"a_{i}" for i in range(128)))
-    assert rees_mod._order_floor(WordSet.of([word])) == 3602
+    alphabets = [
+        [Letter(c) for c in "abc"],
+        [Letter("y", 1, 0), Letter("y", 1, 1), Letter("z", 1), Letter("y"), Letter("y", None, 2)],
+        list(range(4)),   # C14's shapes are int tuples
+    ]
+    cases = [[], [()], [(), (0,)]]
+    for _ in range(60):
+        alphabet = rng.choice(alphabets)
+        cases.append([tuple(rng.choices(alphabet, k=rng.randint(0, 12))) for _ in range(rng.randint(1, 3))])
+    for sequences in cases:
+        want = slice_factors(sequences)
+        got, parent = factor_trie(sequences)
+        assert got == want, sequences
+        assert parent[0] == 0
+        assert all(got[parent[i]] + got[i][-1:] == got[i] for i in range(1, len(got)))
+        for limit in range(len(want) + 1):
+            capped = factor_trie(sequences, limit)
+            if isinstance(capped, int):
+                # a lower bound on the factor count, never a full list
+                assert limit < capped <= len(want), (sequences, limit)
+            else:
+                assert capped == (want, parent), (sequences, limit)
 
 
 def test_identities_survive_quotients():

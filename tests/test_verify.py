@@ -31,8 +31,18 @@ from monoidlab import (
     separation_identity,
 )
 from monoidlab.identities import FAILS, HOLDS, CheckOutcome
-from monoidlab.words import factor_tuples
+from monoidlab.words import INFINITY
 import monoidlab.verify as verify_mod
+
+
+def slice_factors(sequences):
+    # brute-force oracle: every slice of every tuple, sorted shortlex
+    seen = {()}
+    for seq in sequences:
+        n = len(seq)
+        seen.update(seq[i:j] for i in range(n) for j in range(i + 1, n + 1))
+    # the sort by length is stable, so each length keeps the element order
+    return sorted(sorted(seen), key=len)
 
 
 @pytest.fixture(scope="module")
@@ -136,14 +146,14 @@ def test_factor_count_is_the_quotient_order_on_canonical_shapes():
         for shape in _restricted_growth_shapes(length):
             word = Word(tuple(Letter(chr(ord("a") + v)) for v in shape))
             order = rees_quotient(WordSet.of([word])).order
-            assert len(factor_tuples([shape])) + 1 == order, shape
+            assert len(slice_factors([shape])) + 1 == order, shape
 
 
 def test_enumerate_equals_the_brute_force_search():
     # every shape of length <= 8 (5,295 of them), in shortlex order, with
     # its order and whether two of its letters repeat
     shapes = [
-        (shape, len(factor_tuples([shape])) + 1, sum(c >= 2 for c in Counter(shape).values()) >= 2)
+        (shape, len(slice_factors([shape])) + 1, sum(c >= 2 for c in Counter(shape).values()) >= 2)
         for length in range(1, 9)
         for shape in _restricted_growth_shapes(length)
     ]
@@ -161,16 +171,16 @@ def test_enumerate_equals_the_brute_force_search():
 def test_enumerate_examines_only_shapes_within_the_order(monkeypatch):
     # a search of every shape up to length 12 would examine 5,034,584
     calls = 0
-    real = verify_mod.factor_tuples
+    real = verify_mod.factor_trie
 
-    def counting(sequences):
+    def counting(sequences, limit=INFINITY):
         nonlocal calls
         calls += 1
         if calls > 100:
             raise AssertionError("the search examines shapes past the order bound")
-        return real(sequences)
+        return real(sequences, limit)
 
-    monkeypatch.setattr(verify_mod, "factor_tuples", counting)
+    monkeypatch.setattr(verify_mod, "factor_trie", counting)
     assert enumerate_small_rees(max_len=12, max_order=3) == []
     calls = 0
     assert [(str(w), o) for w, o in enumerate_small_rees()] == [
