@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 on success / HOLDS / all claims passing, 1 on FAILS or any
-failing claim, 2 on usage, parse or file errors, 3 on budget exhaustion,
-4 on an internal error (an unexpected exception, reported on stderr, or
-the two checkers of ``check --method both`` disagreeing).
+failing claim, 2 on usage, parse or file errors, 3 on budget exhaustion
+or running out of memory, 4 on an internal error (an unexpected
+exception, reported on stderr, or the two checkers of ``check --method
+both`` disagreeing).
 """
 
 from __future__ import annotations
@@ -253,6 +254,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # a scale limit of the machine, like a budget, not a bug
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (WorkbenchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

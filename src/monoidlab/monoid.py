@@ -133,12 +133,24 @@ def _int_table(table, n: int) -> np.ndarray:
 
 
 def _generators(T: np.ndarray, one: int) -> list[int]:
-    """A generating set, greedy in index order.
+    """A generating set, greedy in index order, each generator passing
+    Light's associativity test as it is found.
 
     Starting from the identity, each element not yet reached becomes a
     generator, and the reached set is closed under right multiplication
     by the generators.  Every element is then a left-bracketed product of
     generators.  For a Rees quotient these are exactly the letters.
+
+    Before an element g joins, Light's test compares (xg)y with x(gy) for
+    every x and y; at the first g that fails it raises
+    :class:`NonAssociativeError` with the triple (x, g, y), (x, y) the
+    first failing pair in row-major order.  The elements a that pass,
+    (xa)y = x(ay) for all x and y, contain the identity and are closed
+    under products: for passing a and b,
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So when every
+    generator passes, every left-bracketed product of generators, which is
+    every element, passes too, and the table is associative.  (Clifford
+    and Preston, vol. 1, section 1.2.)
     """
     n = T.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -147,6 +159,10 @@ def _generators(T: np.ndarray, one: int) -> list[int]:
     for g in range(n):
         if reached[g]:
             continue
+        bad = T[T[:, g]] != T[:, T[g]]   # [x, y]: T[T[x, g], y] vs T[x, T[g, y]]
+        if bad.any():
+            x, y = divmod(int(np.argmax(bad)), n)
+            raise NonAssociativeError((x, g, y))
         gens.append(g)
         products = T[reached, g]
         while True:
@@ -160,35 +176,17 @@ def _generators(T: np.ndarray, one: int) -> list[int]:
     return gens
 
 
-def _light_witness(T: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
-    """Light's associativity test over the generators: a triple (x, a, y)
-    with (xa)y != x(ay), or None when the table is associative.
-
-    The elements a that pass, (xa)y = x(ay) for all x and y, contain the
-    identity and are closed under products: for passing a and b,
-    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So when every
-    generator passes, every left-bracketed product of generators, which is
-    every element, passes too.  (Clifford and Preston, vol. 1, section 1.2.)
-    """
-    for a in gens:
-        bad = T[T[:, a]] != T[:, T[a]]   # [x, y]: T[T[x, a], y] vs T[x, T[a, y]]
-        if bad.any():
-            x, y = divmod(int(np.argmax(bad)), T.shape[0])
-            return (x, a, y)
-    return None
-
-
 def from_table(elements, one: int, table, zero: int | None = None) -> FiniteMonoid:
     """Validate and freeze a multiplication table.
 
     Checks the shape and that the entries are integers in range, then
     duplicate labels, a working identity and a working zero when declared.
-    Associativity is Light's test over a generating set found greedily
-    from the table (see :func:`_generators` and :func:`_light_witness`),
-    which is exact for any table: a failure names a genuine violating
-    triple, and a pass proves the whole table associative.  It costs one
-    n x n comparison per generator, so for an arbitrary table it falls
-    back toward the full O(n^3) check.
+    Associativity is Light's test, run on each generator of a generating
+    set as :func:`_generators` finds it greedily from the table, which is
+    exact for any table: a failure names a genuine violating triple, and
+    a pass proves the whole table associative.  It costs one n x n
+    comparison per generator, so for an arbitrary table it falls back
+    toward the full O(n^3) check.
     """
     elems = tuple(elements)
     n = len(elems)
@@ -209,9 +207,7 @@ def from_table(elements, one: int, table, zero: int | None = None) -> FiniteMono
         bad = (T[zero] != zero) | (T[:, zero] != zero)
         if bad.any():
             raise BadZeroError(f"element {zero} is not absorbing (fails at {int(np.argmax(bad))})")
-    witness = _light_witness(T, _generators(T, one))
-    if witness is not None:
-        raise NonAssociativeError(witness)
+    _generators(T, one)
     return FiniteMonoid(elems, one, T, zero)
 
 

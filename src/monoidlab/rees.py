@@ -17,9 +17,15 @@ from .errors import BudgetExceededError, HomomorphismViolationError, NotSubsetEr
 from .monoid import ZERO_LABEL, FiniteMonoid, _cayley_table, from_table
 from .words import INFINITY, Word, WordSet, factor_trie, generate_wn, parse_words
 
-# The largest order rees_quotient builds a table for: 256 MB of int32.
-# It is above every table the claim suite and the tests build, and above
-# the quotient of {w_1, ..., w_5}, order 4,277.
+# The largest order rees_quotient builds a table for: 256 MB of int32 for
+# the table alone.  A build near the limit peaks at about 5.5 times its
+# table: a x 8,000 (order 8,002, a 244 MB table) peaks at 1,346 MB of RSS.
+# Live at once are the labels' factor tuples (245 MB here), the gather's
+# column array (245 MB), the labels' cached texts (32 MB) and from_table's
+# C-order copy (244 MB), and Light's test adds two n x n gathers and a
+# bool mask (549 MB) at each generator.  The limit is above every table
+# the claim suite and the tests build, and above the quotient of
+# {w_1, ..., w_5}, order 4,277.
 TABLE_ORDER_LIMIT = 8192
 
 
@@ -27,15 +33,17 @@ def _factor_graph(word_set: WordSet, limit=INFINITY):
     """The factors of ``word_set`` and the right Cayley graph of ``M(W)``,
     read off :func:`~monoidlab.words.factor_trie`.
 
-    Returns ``(element, code, parent, last, delta)``.  ``element`` maps
-    each factor, a tuple of letters, to its element, in element order:
-    identity first and the rest shortlex, by the trie's lemma (its
-    breadth-first walk with sorted children lists the factors by length,
-    then by parent, then by last letter); the zero is element
-    ``len(element)``.  ``code`` numbers the letters of W in order.  The
-    factors form the trie: each nonempty factor ``i`` is factor
-    ``parent[i]`` followed by letter ``last[i]``, and the trie's nodes
-    are exactly the nonzero elements.  ``delta[i, c]`` is the
+    Returns ``(factors, code, parent, last, delta)``.  ``factors`` lists
+    the factors, tuples of letters, in element order: identity first and
+    the rest shortlex, by the trie's lemma (its breadth-first walk with
+    sorted children lists the factors by length, then by parent, then by
+    last letter), so factor ``i`` is element ``i``; the zero is element
+    ``len(factors)``.  No factor is looked up here: a caller that needs
+    a factor's element, as :func:`quotient_map` does for its target,
+    indexes the list itself.  ``code`` numbers the letters of W in
+    order.  The factors form the trie: each nonempty factor ``i`` is
+    factor ``parent[i]`` followed by letter ``last[i]``, and the trie's
+    nodes are exactly the nonzero elements.  ``delta[i, c]`` is the
     element of factor ``i`` followed by letter ``c``, or the zero, in
     every row including the zero's.
 
@@ -47,13 +55,12 @@ def _factor_graph(word_set: WordSet, limit=INFINITY):
     trie = factor_trie((w.letters for w in word_set), limit)
     if isinstance(trie, int):
         return trie
-    tuples, parent = trie
-    element = {t: i for i, t in enumerate(tuples)}
+    factors, parent = trie
     code = {l: c for c, l in enumerate(sorted({l for w in word_set for l in w.letters}))}
-    last = [0] + [code[t[-1]] for t in tuples[1:]]
-    delta = np.full((len(tuples) + 1, len(code)), len(tuples), dtype=np.int32)
-    delta[parent[1:], last[1:]] = np.arange(1, len(tuples))
-    return element, code, parent, last, delta
+    last = [0] + [code[t[-1]] for t in factors[1:]]
+    delta = np.full((len(factors) + 1, len(code)), len(factors), dtype=np.int32)
+    delta[parent[1:], last[1:]] = np.arange(1, len(factors))
+    return factors, code, parent, last, delta
 
 
 def rees_quotient(word_set: WordSet) -> FiniteMonoid:
@@ -63,8 +70,10 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     :func:`_factor_graph` by :func:`~monoidlab.monoid._cayley_table`, the
     gather that also builds every presented monoid: one numpy gather per
     factor length, O(F^2) numpy work and O(F) Python steps for F factors.
+    The labels are the graph's factor list, in element order, as words.
     :func:`from_table` then validates the table; its greedy generating set
-    is the letters, so Light's test costs one comparison per letter.
+    is the letters, and Light's test runs once on each letter as the
+    search finds it.
 
     Raises :class:`BudgetExceededError`, before allocating a table, when
     the order passes :data:`TABLE_ORDER_LIMIT`.  This is the one refusal:
@@ -80,9 +89,9 @@ def rees_quotient(word_set: WordSet) -> FiniteMonoid:
     if isinstance(graph, int):
         msg = f"the quotient has order at least {graph + 1}, above the table limit of {TABLE_ORDER_LIMIT}"
         raise BudgetExceededError(msg, graph + 1, TABLE_ORDER_LIMIT)
-    element, _, parent, last, delta = graph
-    zero = len(element)
-    labels = tuple(Word(t) for t in element) + (ZERO_LABEL,)
+    factors, _, parent, last, delta = graph
+    zero = len(factors)
+    labels = (*map(Word, factors), ZERO_LABEL)
     monoid = from_table(labels, 0, _cayley_table(parent, last, delta, zero), zero=zero)
     return dataclasses.replace(monoid, word_set=word_set)
 
@@ -93,9 +102,14 @@ def quotient_map(source: WordSet, target: WordSet) -> tuple[int, ...]:
     set, and to zero otherwise, as the target element of each source
     element.
 
-    Requires the target set to be contained in the source set.  The map
-    is checked to be a surjective homomorphism on the right Cayley graphs
-    of :func:`_factor_graph` alone, by the lemma below; no table is built.
+    Requires the target set to be contained in the source set.  phi is
+    read factor by factor: each source factor is looked up in one index
+    of the target's factors by their tuples.  It is not derived along the
+    trie as phi(u c) = phi(u) phi(c), which the check below would then
+    hold by construction, so a wrong tree edge of the target graph would
+    pass unseen.  The map is checked to be a surjective homomorphism on
+    the right Cayley graphs of :func:`_factor_graph` alone, by the lemma
+    below; no table is built.
     A failure names the first element ``s``, and the element of the first
     letter ``c``, at which phi(s c) differs from phi(s) phi(c).
 
@@ -115,10 +129,11 @@ def quotient_map(source: WordSet, target: WordSet) -> tuple[int, ...]:
     """
     if not target.issubset(source):
         raise NotSubsetError(f"{{{target}}} is not a subset of {{{source}}}")
-    src_element, src_code, _, _, src_delta = _factor_graph(source)
-    tgt_element, tgt_code, _, _, tgt_delta = _factor_graph(target)
-    zero = len(tgt_element)
-    phi = np.array([tgt_element.get(t, zero) for t in src_element] + [zero], dtype=np.intp)
+    src_factors, src_code, _, _, src_delta = _factor_graph(source)
+    tgt_factors, tgt_code, _, _, tgt_delta = _factor_graph(target)
+    zero = len(tgt_factors)
+    tgt_element = {t: i for i, t in enumerate(tgt_factors)}
+    phi = np.array([tgt_element.get(t, zero) for t in src_factors] + [zero], dtype=np.intp)
     if phi[0] != 0 or phi[-1] != zero:
         raise HomomorphismViolationError("map does not fix the identity and the zero")
     # source letters missing from the target read an appended zero column

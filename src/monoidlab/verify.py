@@ -566,10 +566,11 @@ def run_claims(config: VerifyConfig | None = None) -> Report:
     """Execute the full claim registry.
 
     A claim that runs out of budget is ``BUDGET`` and one that raises any
-    other :class:`WorkbenchError` is ``FAIL``.  Any other exception is a
-    bug in the suite, not a verdict: it is re-raised as a ``RuntimeError``
-    that names the claim.  The sep(n) rows that C7 and C9 share are
-    computed once per call and dropped with it.
+    other :class:`WorkbenchError` is ``FAIL``.  A ``MemoryError`` is a
+    limit of the machine and propagates as it is.  Any other exception is
+    a bug in the suite, not a verdict: it is re-raised as a
+    ``RuntimeError`` that names the claim.  The sep(n) rows that C7 and
+    C9 share are computed once per call and dropped with it.
     """
     cfg = config or VerifyConfig()
     if cfg.max_n < 1:
@@ -583,6 +584,8 @@ def run_claims(config: VerifyConfig | None = None) -> Report:
             status, witness = BUDGET, {"error": str(exc)}
         except WorkbenchError as exc:
             status, witness = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
+        except MemoryError:
+            raise
         except Exception as exc:
             raise RuntimeError(f"claim {cid}: {type(exc).__name__}: {exc}") from exc
         millis = int((time.perf_counter() - start) * 1000)

@@ -153,7 +153,7 @@ def _parse_compact(text: str) -> list[Letter]:
         i += 1
         if i < len(text) and text[i] == "^":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():   # what int() accepts
                 j += 1
             if j == i + 1:
                 raise ParseError("caret must be followed by digits", i)

@@ -342,6 +342,24 @@ def test_crashing_claim_exits_four(capsys, monkeypatch):
     assert err.strip() == "internal error: RuntimeError: claim C1: TypeError: boom"
 
 
+def test_running_out_of_memory_exits_three(capsys, monkeypatch):
+    # raised, never allocated: a real exhaustion would starve the machine
+    def exhaust(word_set):
+        raise MemoryError
+
+    monkeypatch.setattr("monoidlab.cli.rees_quotient", exhaust)
+    code, out, err = run(capsys, "rees", "aabb")
+    assert (code, out) == (3, "")
+    assert err.strip() == "error: out of memory"
+
+
+def test_running_out_of_memory_in_a_claim_exits_three(capsys, monkeypatch):
+    _crash_first_claim(monkeypatch, MemoryError())
+    code, _, err = run(capsys, "verify-paper", "--max-n", "1")
+    assert code == 3
+    assert err.strip() == "error: out of memory"
+
+
 def test_workbench_error_in_a_claim_fails_it(capsys, monkeypatch, tmp_path):
     _crash_first_claim(monkeypatch, HomomorphismViolationError("boom"))
     out_file = tmp_path / "report.json"

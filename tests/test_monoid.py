@@ -122,10 +122,35 @@ def test_generating_set_is_the_letters():
 def test_every_single_entry_change_of_aabb():
     # M(aabb): identity 0, zero 9.  Each changed entry must be rejected
     # exactly when the identity, the zero or associativity breaks, with the
-    # error of the first failing check in that order.
+    # error of the first failing check in that order.  A non-associative
+    # table names the triple of Light's test as the greedy generator search
+    # meets it, which the loops below recompute.
     base = rees_quotient(WordSet.of([parse_word("aabb")])).table.tolist()
     n, zero = len(base), 9
     labels = tuple(str(i) for i in range(n))
+
+    def first_light_failure(table):
+        # generators greedy in index order, the reached set closed under
+        # right multiplication; the first generator g with a failing (x, y),
+        # and its first failing pair in row-major order
+        reached, gens = {0}, []
+        for g in range(n):
+            if g in reached:
+                continue
+            for x in range(n):
+                for y in range(n):
+                    if table[table[x][g]][y] != table[x][table[g][y]]:
+                        return (x, g, y)
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                s = frontier.pop()
+                for h in gens:
+                    if table[s][h] not in reached:
+                        reached.add(table[s][h])
+                        frontier.append(table[s][h])
+        return None
+
     rejected = 0
     for i, j in itertools.product(range(n), repeat=2):
         for v in range(n):
@@ -146,6 +171,7 @@ def test_every_single_entry_change_of_aabb():
                 from_table(labels, 0, table, zero=zero)
             if want is NonAssociativeError:
                 assert _is_violation(table, info.value.triple)
+                assert info.value.triple == first_light_failure(table)
             rejected += 1
     assert rejected > 0
 

@@ -154,6 +154,26 @@ def test_dotted_error_position_points_at_token(text, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("x^", "caret must be followed by digits", 1),
+        # a superscript two is a digit to str.isdigit but not to int()
+        ("x^²", "caret must be followed by digits", 1),
+        ("x^1²", "unexpected character '²'", 3),
+    ],
+)
+def test_compact_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_word(text)
+    assert (info.value.message, info.value.position) == (message, position)
+
+
+def test_caret_takes_any_decimal_digits():
+    # int() reads every Unicode decimal digit, as the dotted tokens' \d does
+    assert parse_word("x^٣") == parse_word("xxx")
+
+
 def test_emit_roundtrip_examples():
     for text in ("aabb", "abab", W1_TEXT, "1", "z_1", "y^2.", "x.y^2"):
         assert str(parse_word(text)) == text
