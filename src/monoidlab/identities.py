@@ -368,7 +368,25 @@ def _scan_matches(
     is remembered.  A new best key comes from a match below every open
     block, so when it changes every open prefix equals it and the
     remembered block is dropped.  Only keys below the best reach
-    ``on_match``.
+    ``on_match``.  A bound cut ends its block, as the own lookahead does.
+
+    **Lemma.** Skipping the rest of a block after its first bound cut
+    changes nothing but the node count.
+
+    **Proof.** Say the bound cuts block d at segment length s.  Block d
+    binds its variable a = ``block_var[d]``, the first variable of its
+    span.  The variables before a equal the key, because the cut needs
+    ``less_at >= d``.  At length s the pair ``(s, seg)`` compares at least
+    ``key[a]``: it is greater, or equal with a later variable greater or
+    the prefix complete.  Shortlex compares length first, so every longer
+    segment of the block compares strictly greater at a.  Only
+    ``on_match`` changes the key, and only lowers it, so by induction over
+    the longer segments, in the walk one step at a time each of them ends
+    in a bound cut against the same key, a failed run or the own
+    lookahead: none calls ``on_match`` and none opens a block.
+    ``events`` has risen at the first cut, so the same subtrees are
+    recorded dead.  The ``on_match`` calls are the same, in the same
+    order.  A walk with no key is untouched.
 
     A dead-state memo keeps the walk from proving the same dead end once
     per path.  The state of block d is (d, its start in the target, the
@@ -540,10 +558,12 @@ def _scan_matches(
                             if i < b:
                                 if (len(values[i]), values[i]) > key[i]:
                                     events += 1
+                                    nxt[d] = top[d] + 1  # longer segments compare greater
                                     continue
                                 less_at = d
                             elif b == k:
                                 events += 1
+                                nxt[d] = top[d] + 1
                                 continue
                             else:
                                 less_at = k
@@ -645,7 +665,8 @@ def check_rees(
     images in sorted variable order, each shortlex), and the search is a
     branch and bound for it: once a mismatch is known, the matcher cuts
     every subtree whose bound prefix of sorted variables already compares
-    greater than the best key, or equal to all of it (see
+    greater than the best key, or equal to all of it, and a cut ends its
+    block, since every longer segment there compares greater too (see
     :func:`_scan_matches`).  The witness is the one the full walk would
     keep, and a search that finds no mismatch sets no bound.  The matcher
     also skips every block whose state it has already shown to be a dead

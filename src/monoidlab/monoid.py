@@ -132,6 +132,10 @@ def _int_table(table, n: int) -> np.ndarray:
     return out
 
 
+# Light's test compares blocks of rows with at most this many entries
+_LIGHT_BLOCK = 1 << 20
+
+
 def _generators(T: np.ndarray, one: int) -> list[int]:
     """A generating set, greedy in index order, each generator passing
     Light's associativity test as it is found.
@@ -142,9 +146,11 @@ def _generators(T: np.ndarray, one: int) -> list[int]:
     generators.  For a Rees quotient these are exactly the letters.
 
     Before an element g joins, Light's test compares (xg)y with x(gy) for
-    every x and y; at the first g that fails it raises
-    :class:`NonAssociativeError` with the triple (x, g, y), (x, y) the
-    first failing pair in row-major order.  The elements a that pass,
+    every x and y, in blocks of rows x that hold at most ``_LIGHT_BLOCK``
+    entries (one row at least), so it needs no full n x n gather; at the
+    first g that fails it raises :class:`NonAssociativeError` with the
+    triple (x, g, y), (x, y) the first failing pair in row-major order,
+    since the blocks run in row order.  The elements a that pass,
     (xa)y = x(ay) for all x and y, contain the identity and are closed
     under products: for passing a and b,
     (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So when every
@@ -153,16 +159,19 @@ def _generators(T: np.ndarray, one: int) -> list[int]:
     and Preston, vol. 1, section 1.2.)
     """
     n = T.shape[0]
+    step = max(1, _LIGHT_BLOCK // n)
     reached = np.zeros(n, dtype=bool)
     reached[one] = True
     gens: list[int] = []
     for g in range(n):
         if reached[g]:
             continue
-        bad = T[T[:, g]] != T[:, T[g]]   # [x, y]: T[T[x, g], y] vs T[x, T[g, y]]
-        if bad.any():
-            x, y = divmod(int(np.argmax(bad)), n)
-            raise NonAssociativeError((x, g, y))
+        for lo in range(0, n, step):
+            # [x - lo, y]: T[T[x, g], y] vs T[x, T[g, y]]
+            bad = T[T[lo : lo + step, g]] != T[lo : lo + step, T[g]]
+            if bad.any():
+                x, y = divmod(int(np.argmax(bad)), n)
+                raise NonAssociativeError((lo + x, g, y))
         gens.append(g)
         products = T[reached, g]
         while True:

@@ -18,14 +18,13 @@ from .monoid import ZERO_LABEL, FiniteMonoid, _cayley_table, from_table
 from .words import INFINITY, Word, WordSet, factor_trie, generate_wn, parse_words
 
 # The largest order rees_quotient builds a table for: 256 MB of int32 for
-# the table alone.  A build near the limit peaks at about 5.5 times its
-# table: a x 8,000 (order 8,002, a 244 MB table) peaks at 1,346 MB of RSS.
+# the table alone.  A build near the limit peaks at about 3.4 times its
+# table: a x 8,000 (order 8,002, a 244 MB table) peaks at 827 MB of RSS.
 # Live at once are the labels' factor tuples (245 MB here), the gather's
 # column array (245 MB), the labels' cached texts (32 MB) and from_table's
-# C-order copy (244 MB), and Light's test adds two n x n gathers and a
-# bool mask (549 MB) at each generator.  The limit is above every table
-# the claim suite and the tests build, and above the quotient of
-# {w_1, ..., w_5}, order 4,277.
+# C-order copy (244 MB); Light's test adds about 10 MB, one block of rows
+# at a time.  The limit is above every table the claim suite and the
+# tests build, and above the quotient of {w_1, ..., w_5}, order 4,277.
 TABLE_ORDER_LIMIT = 8192
 
 

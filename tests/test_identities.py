@@ -19,6 +19,7 @@ from monoidlab import (
     ZERO,
     BadZeroError,
     BudgetExceededError,
+    CheckOutcome,
     Identity,
     Letter,
     ParseError,
@@ -469,14 +470,14 @@ def test_check_rees_separation_off_diagonal_three_default_budget():
 
 def test_check_rees_separation_diagonal_three_default_budget():
     # the least-witness bound brings the (3,3) diagonal within the default
-    # budget (about 650k nodes, from 2.7M), with the canonical witness
+    # budget (11,640 nodes), with the canonical witness
     out = check_rees(WordSet.of([generate_wn(3)]), separation_identity(3))
     assert out.status == FAILS
     assert out.witness == Substitution.identity_on(generate_wn(3).alphabet)
 
 
 def test_check_rees_separation_diagonal_four_default_budget():
-    # the occurrence lookahead brings the (4,4) diagonal to about 128k
+    # the occurrence lookahead brings the (4,4) diagonal to about 127k
     # nodes (3.6M with the memo alone), within the default budget
     out = check_rees(WordSet.of([generate_wn(4)]), separation_identity(4))
     assert out.status == FAILS
@@ -500,6 +501,57 @@ def test_check_rees_holds_search_pays_nothing_for_the_bound():
     with pytest.raises(BudgetExceededError) as info:
         check_rees(word_set, ident, budget=5_542)
     assert info.value.spent == 5_543
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 1_022), (3, 11_640)])
+def test_check_rees_diagonal_budget_edge(n, nodes):
+    # a bound cut ends its block, so the diagonal needs exactly these
+    # nodes, with the identity witness found at the first match examined
+    word_set, ident = WordSet.of([generate_wn(n)]), separation_identity(n)
+    out = check_rees(word_set, ident, budget=nodes)
+    assert out == CheckOutcome(FAILS, Substitution.identity_on(generate_wn(n).alphabet), 1)
+    with pytest.raises(BudgetExceededError) as info:
+        check_rees(word_set, ident, budget=nodes - 1)
+    assert info.value.spent == nodes
+
+
+def test_bounded_walk_reports_the_running_minimum():
+    # independent rule: of the unbounded walk's matches, the bounded walk
+    # reports exactly those whose key is below every key reported before,
+    # in the same order.  The fixed case catches a cut that ends a block
+    # on a comparison that fell below the best key
+    rng = random.Random(31)
+    cases = [("yzzz", "abbaaab", False, None)]
+    for _ in range(3000):
+        pattern = "".join(rng.choice("xyz") for _ in range(rng.randint(1, 6)))
+        target = "".join(rng.choice("ab") for _ in range(rng.randint(1, 10)))
+        other = None
+        if rng.random() < 0.5:
+            other = "".join(rng.choice(sorted(set(pattern))) for _ in range(rng.randint(1, 6)))
+        cases.append((pattern, target, rng.random() < 0.5, other))
+    coding = identities._Coding(parse_word("ab").alphabet)
+    for pattern, target, erasing, other in cases:
+        args = (parse_word(pattern), coding.encode(parse_word(target)), erasing, 10**9, 0)
+        other = None if other is None else parse_word(other)
+        every: list = []
+        identities._scan_matches(
+            *args, lambda values, start, end: every.append((tuple(values), start, end)), other
+        )
+        want, low = [], None
+        for match in every:
+            key = identities._values_key(match[0])
+            if low is None or key < low:
+                want.append(match)
+                low = key
+        best: list = [None]
+        got: list = []
+
+        def keep(values, start, end):
+            best[0] = identities._values_key(values)
+            got.append((tuple(values), start, end))
+
+        identities._scan_matches(*args, keep, other, best)
+        assert got == want, (pattern, target, erasing, other)
 
 
 @pytest.mark.stretch

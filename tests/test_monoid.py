@@ -176,6 +176,46 @@ def test_every_single_entry_change_of_aabb():
     assert rejected > 0
 
 
+def _light_cases():
+    """Every single-entry corruption of four word quotients, with their
+    zero declared, and 3,000 seeded random tables of order 1-6 with
+    identity 0."""
+    for spec in ("aabb", "abab", "abba", "ab,ba"):
+        q = rees_quotient(parse_word_set(spec))
+        base, n = q.table.tolist(), q.order
+        for i, j in itertools.product(range(n), repeat=2):
+            for v in range(n):
+                if v != base[i][j]:
+                    table = [row[:] for row in base]
+                    table[i][j] = v
+                    yield table, q.zero
+    rng = random.Random(41)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        yield [list(range(n))] + [[i] + [rng.randrange(n) for _ in range(n - 1)] for i in range(1, n)], None
+
+
+def _light_outcome(table, zero):
+    try:
+        from_table(tuple(str(i) for i in range(len(table))), 0, table, zero=zero)
+    except (BadIdentityError, BadZeroError, NonAssociativeError) as exc:
+        return type(exc), getattr(exc, "triple", None)
+    return None
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_light_test_in_row_blocks_keeps_every_outcome(monkeypatch, rows):
+    # every table here fits one block at the default size; blocks of 1 and
+    # of 7 rows must give the same error and triple, or the same pass
+    cases = list(_light_cases())
+    assert len(cases) == 5_628
+    want = [_light_outcome(table, zero) for table, zero in cases]
+    assert sum(out is not None and out[0] is NonAssociativeError for out in want) > 0
+    for (table, zero), out in zip(cases, want):
+        monkeypatch.setattr(monoid_module, "_LIGHT_BLOCK", rows * len(table))
+        assert _light_outcome(table, zero) == out
+
+
 def test_bad_identity_and_zero():
     with pytest.raises(BadIdentityError):
         from_table(("1", "a"), 0, [[1, 1], [1, 1]])
