@@ -75,7 +75,8 @@ def _cmd_wn(args) -> int:
 
 def _resolve_monoid(spec: str, method: str):
     """The word set (rees: specs only) and the monoid; the table is not
-    built when only the rees method will run, as it never reads it."""
+    built when only the rees method will run, as it never reads it, and a
+    preset the rees method cannot check is refused before it is built."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ParseError(f"monoid spec needs a kind prefix, got {spec!r}", 0)
@@ -83,6 +84,8 @@ def _resolve_monoid(spec: str, method: str):
         word_set = parse_word_set(rest)
         return word_set, (None if method == "rees" else rees_quotient(word_set))
     if kind == "preset":
+        if method != "table":
+            raise ValueError("the rees method needs a rees: monoid")
         return None, from_presentation(preset(rest))
     raise ParseError(f"unknown monoid kind {kind!r} (use rees: or preset:)", 0)
 
@@ -102,9 +105,6 @@ def _cmd_check(args) -> int:
     method = args.method
     word_set, monoid = _resolve_monoid(args.monoid, method)
     ident = parse_identity(args.identity)
-    if method in ("rees", "both") and word_set is None:
-        print("error: the rees method needs a rees: monoid", file=sys.stderr)
-        return 2
     table_budget = DEFAULT_TABLE_BUDGET if args.budget is None else args.budget
     match_budget = DEFAULT_MATCH_BUDGET if args.budget is None else args.budget
     results = {}

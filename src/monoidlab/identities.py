@@ -319,11 +319,12 @@ def _scan_matches(
     spent: int,
     on_match,
     other: Word | None = None,
-    best: list | None = None,
-) -> int:
+    key: tuple | None = None,
+) -> tuple[int, tuple | None]:
     """Drive ``on_match(values, start, end)`` over every factor match of
-    the pattern into the coded target, and return ``spent`` plus the
-    nodes this walk took.
+    the pattern into the coded target, and return ``(spent, key)``:
+    ``spent`` plus the nodes this walk took, and the bound key as the walk
+    left it.
 
     ``values`` holds one coded segment per pattern variable in sorted
     variable order and is mutated in place; callbacks must copy whatever
@@ -355,20 +356,23 @@ def _scan_matches(
     only grows deeper in the walk and the equality is upward-closed in E,
     so no completion is reported.  The test is memoized by bitmask of E.
 
-    With ``best`` given (a one-item list holding None or the
-    :func:`_values_key` of the best witness so far, which ``on_match``
-    updates), the walk is a branch and bound for the least key.  After
-    each binding it takes the longest prefix of the sorted variables that
-    is bound, and cuts the subtree when that prefix compares greater than
-    the same prefix of the best key, or equal to it when it covers every
-    variable: every completion then compares greater, or equal.  An equal
-    prefix that is not complete is walked on.  Only blocks that lengthen
-    the prefix compare, and only over the variables they add: a path that
-    fell below the best key at some block stays below it, and that block
-    is remembered.  A new best key comes from a match below every open
-    block, so when it changes every open prefix equals it and the
-    remembered block is dropped.  Only keys below the best reach
-    ``on_match``.  A bound cut ends its block, as the own lookahead does.
+    The walk is a branch and bound for the least :func:`_values_key`.  It
+    owns the key: it starts from ``key`` (None, or the key an earlier walk
+    returned), and when ``on_match`` returns a true value the walk takes
+    the key of that match as the new key.  While the key is None nothing
+    compares, so a walk whose callback never returns true is the plain
+    walk.  After each binding the walk takes the longest prefix of the
+    sorted variables that is bound, and cuts the subtree when that prefix
+    compares greater than the same prefix of the key, or equal to it when
+    it covers every variable: every completion then compares greater, or
+    equal.  An equal prefix that is not complete is walked on.  Only
+    blocks that lengthen the prefix compare, and only over the variables
+    they add: a path that fell below the key at some block stays below it,
+    and that block is remembered.  A seeded key is set before any prefix
+    is bound, and a new key comes from a match below every open block, so
+    either way every open prefix equals it and no block is remembered.
+    Only keys below the current key reach ``on_match``.  A bound cut ends
+    its block, as the own lookahead does.
 
     **Lemma.** Skipping the rest of a block after its first bound cut
     changes nothing but the node count.
@@ -379,14 +383,14 @@ def _scan_matches(
     ``less_at >= d``.  At length s the pair ``(s, seg)`` compares at least
     ``key[a]``: it is greater, or equal with a later variable greater or
     the prefix complete.  Shortlex compares length first, so every longer
-    segment of the block compares strictly greater at a.  Only
-    ``on_match`` changes the key, and only lowers it, so by induction over
-    the longer segments, in the walk one step at a time each of them ends
-    in a bound cut against the same key, a failed run or the own
-    lookahead: none calls ``on_match`` and none opens a block.
+    segment of the block compares strictly greater at a.  The key changes
+    only at an ``on_match`` call that returns true, and only falls, so by
+    induction over the longer segments, in the walk one step at a time
+    each of them ends in a bound cut against the same key, a failed run or
+    the own lookahead: none calls ``on_match`` and none opens a block.
     ``events`` has risen at the first cut, so the same subtrees are
     recorded dead.  The ``on_match`` calls are the same, in the same
-    order.  A walk with no key is untouched.
+    order.  A walk whose key stays None never cuts and is untouched.
 
     A dead-state memo keeps the walk from proving the same dead end once
     per path.  The state of block d is (d, its start in the target, the
@@ -456,22 +460,19 @@ def _scan_matches(
 
     # Block d binds block_var[d]; when that lengthens the bound prefix of
     # the sorted variables from lo to hi, spans[d] = (lo, hi), and lo is
-    # then block_var[d] itself.  Blocks that lengthen nothing, and every
-    # block of an unbounded walk, get None.
+    # then block_var[d] itself.  Blocks that lengthen nothing get None.
     spans: list[tuple[int, int] | None] = [None] * k
-    if best is not None:
-        bound_vars: set[int] = set()
-        lo = 0
-        for d, vi in enumerate(block_var):
-            bound_vars.add(vi)
-            hi = lo
-            while hi in bound_vars:
-                hi += 1
-            if hi > lo:
-                spans[d] = (lo, hi)
-            lo = hi
-    seen = None  # the best key that less_at refers to
-    less_at = k  # extending block where the path fell below seen, else k
+    bound_vars: set[int] = set()
+    lo = 0
+    for d, vi in enumerate(block_var):
+        bound_vars.add(vi)
+        hi = lo
+        while hi in bound_vars:
+            hi += 1
+        if hi > lo:
+            spans[d] = (lo, hi)
+        lo = hi
+    less_at = k  # extending block where the path fell below key, else k
 
     # The dead-state memo; live[d] reads the images in the state of block d.
     live = [
@@ -541,35 +542,29 @@ def _scan_matches(
                 end += len(s)
             else:
                 span = spans[d]
-                if span is not None:
-                    key = best[0]
-                    if key is not None:
-                        if key is not seen:
-                            # the key came from a match below every open
-                            # block, or from an earlier walk before any
-                            # prefix was bound: open prefixes all equal it
-                            seen = key
-                            less_at = k
-                        if less_at >= d:
-                            a, b = span
-                            i = a
-                            while i < b and values[i] == key[i][1]:
-                                i += 1
-                            if i < b:
-                                if (len(values[i]), values[i]) > key[i]:
-                                    events += 1
-                                    nxt[d] = top[d] + 1  # longer segments compare greater
-                                    continue
-                                less_at = d
-                            elif b == k:
-                                events += 1
-                                nxt[d] = top[d] + 1
-                                continue
-                            else:
-                                less_at = k
+                if span is not None and key is not None and less_at >= d:
+                    a, b = span
+                    i = a
+                    while i < b and values[i] == key[i][1]:
+                        i += 1
+                    if i < b:
+                        if (len(values[i]), values[i]) > key[i]:
+                            events += 1
+                            nxt[d] = top[d] + 1  # longer segments compare greater
+                            continue
+                        less_at = d
+                    elif b == k:
+                        events += 1
+                        nxt[d] = top[d] + 1
+                        continue
+                    else:
+                        less_at = k
                 if d == last:
                     events += 1
-                    on_match(values, start, end)
+                    if on_match(values, start, end):
+                        # a match below every open block: open prefixes all equal it
+                        key = _values_key(values)
+                        less_at = k
                 else:
                     # each live image needs its later copies right of end
                     for j, c in room_terms[d + 1]:
@@ -585,7 +580,7 @@ def _scan_matches(
                             states[d] = state
                             marks[d] = events
                             open_block(d, end, mask)
-    return spent
+    return spent, key
 
 
 def match_pattern(
@@ -667,14 +662,16 @@ def check_rees(
     every subtree whose bound prefix of sorted variables already compares
     greater than the best key, or equal to all of it, and a cut ends its
     block, since every longer segment there compares greater too (see
-    :func:`_scan_matches`).  The witness is the one the full walk would
-    keep, and a search that finds no mismatch sets no bound.  The matcher
-    also skips every block whose state it has already shown to be a dead
-    end, a subtree with no match to report (its dead-state memo), so a
-    HOLDS search proves each dead end once per state and not once per
-    path, and it cuts every binding whose variables, bound or being bound,
-    have too few disjoint copies to the right of the current position for
-    their later occurrences (its occurrence lookahead).  ``evaluations``
+    :func:`_scan_matches`).  The matcher keeps the key and hands it from
+    each walk to the next, and the witness is read back from the key the
+    last walk returns.  It is the one the full walk would keep, and a
+    search that finds no mismatch sets no bound.  The matcher also skips
+    every block whose state it has already shown to be a dead end, a
+    subtree with no match to report (its dead-state memo), so a HOLDS
+    search proves each dead end once per state and not once per path, and
+    it cuts every binding whose variables, bound or being bound, have too
+    few disjoint copies to the right of the current position for their
+    later occurrences (its occurrence lookahead).  ``evaluations``
     counts the matches examined that were neither trivial nor cut by the
     bound, and the memo and the lookahead leave it unchanged.
     """
@@ -692,23 +689,22 @@ def check_rees(
     variables = sorted(alf_l)
     var_index = {v: i for i, v in enumerate(variables)}
     examined = 0
-    best_key: list[tuple | None] = [None]  # shared with the walker as its bound
-    best_vals: tuple | None = None
+    key = None  # the least mismatch so far, carried from walk to walk
     for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
         v_idx = [var_index[c] for c in v.letters]
         for w in word_set:
             tgt = coding.encode(w)
 
             def on_match(values, start, end, _tgt=tgt, _v_idx=v_idx):
-                nonlocal examined, best_vals
+                nonlocal examined
                 examined += 1
-                if "".join([values[i] for i in _v_idx]) != _tgt[start:end]:
-                    # the bound lets through only keys below the best
-                    best_key[0], best_vals = _values_key(values), tuple(values)
+                # only keys below the current one get here, so a mismatch is the new key
+                return "".join([values[i] for i in _v_idx]) != _tgt[start:end]
 
-            spent = _scan_matches(u, tgt, True, budget, spent, on_match, other=v, best=best_key)
-    if best_vals is not None:
-        return CheckOutcome(FAILS, coding.substitution(variables, best_vals), examined)
+            spent, key = _scan_matches(u, tgt, True, budget, spent, on_match, v, key)
+    if key is not None:
+        witness = coding.substitution(variables, [seg for _, seg in key])
+        return CheckOutcome(FAILS, witness, examined)
     return CheckOutcome(HOLDS, None, examined)
 
 

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--stretch",
         action="store_true",
         default=False,
-        help="also run the stretch-scale cases (about a minute)",
+        help="also run the stretch-scale cases (about 20 s)",
     )
 
 

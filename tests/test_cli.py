@@ -118,13 +118,19 @@ def test_check_preset(capsys):
     assert code == 0 and out.strip() == "HOLDS"
 
 
-def test_check_rees_method_needs_rees_monoid(capsys):
-    code, _, err = run(
-        capsys,
-        "check", "--monoid", "preset:A21", "--identity", "x=x", "--method", "rees",
-    )
-    assert code == 2
-    assert "rees" in err
+def test_check_rees_method_needs_rees_monoid(capsys, monkeypatch):
+    # refused before the preset is built
+    def build(*args, **kwargs):
+        raise AssertionError("the preset was built")
+
+    monkeypatch.setattr(cli, "from_presentation", build)
+    for method in ("rees", "both"):
+        code, _, err = run(
+            capsys,
+            "check", "--monoid", "preset:A21", "--identity", "x=x", "--method", method,
+        )
+        assert code == 2
+        assert err == "error: the rees method needs a rees: monoid\n"
 
 
 def test_check_rees_deep_identity(capsys):

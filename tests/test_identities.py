@@ -407,7 +407,8 @@ def test_scan_matches_stream_is_the_naive_multiset():
 def test_scan_matches_stream_is_the_naive_list():
     # order included: the occurrence lookahead and the memo cut only
     # subtrees that hold no complete match.  Variables repeat up to eight
-    # times, so both lookahead cuts fire
+    # times, so both lookahead cuts fire.  A callback that returns True
+    # gets the same stream: what it returns starts no bound
     rng = random.Random(29)
     for _ in range(300):
         pattern = Word(tuple(Letter(rng.choice("xyz")) for _ in range(rng.randint(1, 8))))
@@ -416,6 +417,9 @@ def test_scan_matches_stream_is_the_naive_list():
         streamed: list = []
         scan_matches(pattern, target, streamed.append, erasing)
         assert streamed == naive_scan(pattern, target, erasing)
+        truthy: list = []
+        scan_matches(pattern, target, lambda sub: truthy.append(sub) or True, erasing)
+        assert truthy == streamed
 
 
 def test_match_pattern_complete_on_small_inputs():
@@ -493,9 +497,10 @@ def test_check_rees_holds_search_pays_nothing_for_the_bound():
     spent = 0
     for u, v in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
         for w in word_set:
-            spent = identities._scan_matches(
+            spent, key = identities._scan_matches(
                 u, coding.encode(w), True, 10**9, spent, lambda *m: None, other=v
             )
+            assert key is None
     assert spent == 5_543
     assert check_rees(word_set, ident, budget=5_543).status == HOLDS
     with pytest.raises(BudgetExceededError) as info:
@@ -503,7 +508,7 @@ def test_check_rees_holds_search_pays_nothing_for_the_bound():
     assert info.value.spent == 5_543
 
 
-@pytest.mark.parametrize("n, nodes", [(2, 1_022), (3, 11_640)])
+@pytest.mark.parametrize("n, nodes", [(2, 1_022), (3, 11_640), (4, 126_582)])
 def test_check_rees_diagonal_budget_edge(n, nodes):
     # a bound cut ends its block, so the diagonal needs exactly these
     # nodes, with the identity witness found at the first match examined
@@ -518,8 +523,10 @@ def test_check_rees_diagonal_budget_edge(n, nodes):
 def test_bounded_walk_reports_the_running_minimum():
     # independent rule: of the unbounded walk's matches, the bounded walk
     # reports exactly those whose key is below every key reported before,
-    # in the same order.  The fixed case catches a cut that ends a block
-    # on a comparison that fell below the best key
+    # in the same order, and returns the key of the last one.  The fixed
+    # case catches a cut that ends a block on a comparison that fell below
+    # the best key.  A second walk seeded with that key reports nothing
+    # and hands it back unchanged, as check_rees seeds each walk
     rng = random.Random(31)
     cases = [("yzzz", "abbaaab", False, None)]
     for _ in range(3000):
@@ -543,15 +550,18 @@ def test_bounded_walk_reports_the_running_minimum():
             if low is None or key < low:
                 want.append(match)
                 low = key
-        best: list = [None]
         got: list = []
 
         def keep(values, start, end):
-            best[0] = identities._values_key(values)
             got.append((tuple(values), start, end))
+            return True
 
-        identities._scan_matches(*args, keep, other, best)
+        _, key = identities._scan_matches(*args, keep, other)
         assert got == want, (pattern, target, erasing, other)
+        assert key == (identities._values_key(got[-1][0]) if got else None)
+        got.clear()
+        _, seeded = identities._scan_matches(*args, keep, other, key)
+        assert got == [] and seeded == key
 
 
 @pytest.mark.stretch
