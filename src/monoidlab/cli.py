@@ -10,7 +10,9 @@ both`` disagreeing).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import sys
 
 from .errors import BudgetExceededError, ParseError, WorkbenchError
@@ -18,9 +20,9 @@ from .identities import (
     DEFAULT_MATCH_BUDGET,
     DEFAULT_TABLE_BUDGET,
     HOLDS,
+    _distinct_matches,
     check_rees,
     check_table,
-    match_pattern,
     parse_identity,
 )
 from .monoid import from_presentation, preset
@@ -40,10 +42,24 @@ def _print_json(payload) -> None:
     print(json.dumps(payload))
 
 
+# entries of the table per JSON block, so the ints of the whole table are
+# never all live at once
+_JSON_BLOCK = 1 << 20
+
+
 def _cmd_rees(args) -> int:
     q = rees_quotient(parse_word_set(args.wordset))
     if args.json:
-        _print_json(q.to_json_dict())
+        # the bytes of json.dumps(q.to_json_dict()), written in row blocks
+        head = {"elements": [str(lab) for lab in q.elements], "one": q.one, "zero": q.zero}
+        write = sys.stdout.write
+        write(json.dumps(head)[:-1] + ', "table": [')
+        rows = max(1, _JSON_BLOCK // q.order)
+        for lo in range(0, q.order, rows):
+            if lo:
+                write(", ")
+            write(json.dumps(q.table[lo : lo + rows].tolist())[1:-1])
+        write("]}\n")
         return 0
     print(f"order {q.order}")
     labels = [q.label_text(i) for i in range(q.order)]
@@ -133,13 +149,18 @@ def _cmd_check(args) -> int:
 def _cmd_match(args) -> int:
     pattern = parse_word(args.pattern)
     target = parse_word(args.target)
-    subs = match_pattern(pattern, target, erasing=not args.no_erasing, budget=args.budget)
+    variables, coding, rows = _distinct_matches(pattern, target, not args.no_erasing, args.budget)
+    # each variable and each distinct image is spelled once
+    names = [str(v) for v in variables]
+    text = {seg: str(coding.word(seg)) for seg in set(itertools.chain.from_iterable(rows))}
+    image = text.__getitem__
     if args.json:
-        _print_json([substitution_to_dict(s) for s in subs])
+        _print_json([dict(zip(names, map(image, row))) for row in rows])
         return 0
-    print(f"{len(subs)} substitutions")
-    for s in subs:
-        print("  " + ", ".join(f"{l} -> {v}" for l, v in s.assignment))
+    heads = [f"{name} -> " for name in names]
+    lines = [f"{len(rows)} substitutions"]
+    lines += ["  " + ", ".join(map(operator.add, heads, map(image, row))) for row in rows]
+    print("\n".join(lines))
     return 0
 
 

@@ -583,6 +583,52 @@ def _scan_matches(
     return spent, key
 
 
+def _sort_rows(rows: list[tuple]) -> list[tuple]:
+    """Sort coded rows in place into :func:`_values_key` order and return them.
+
+    The sort makes two stable passes per variable, from the last variable
+    to the first: by the segment, then by its length.
+
+    **Lemma.** The result is ordered lexicographically on
+    (len_0, seg_0, ..., len_{k-1}, seg_{k-1}), which is ``_values_key``.
+
+    **Proof.** Stable passes sorting by the least significant component
+    first leave the rows ordered lexicographically by the components in
+    the reverse order of the passes, the last pass most significant.
+    The passes read seg_{k-1}, len_{k-1}, ..., seg_0, len_0.
+
+    A segment fixes its length, so distinct rows have distinct keys, and
+    the result depends neither on the order of the input nor on the hash
+    seed.  Each pass compares plain strings or ints, with no key tuple
+    per row.
+    """
+    for i in reversed(range(len(rows[0]) if rows else 0)):
+        rows.sort(key=operator.itemgetter(i))
+        rows.sort(key=lambda row: len(row[i]))
+    return rows
+
+
+def _distinct_matches(
+    pattern: Word, target: Word, erasing: bool, budget: int
+) -> tuple[list[Letter], _Coding, list[tuple]]:
+    """The distinct factor matches of the pattern into the target.
+
+    Returns the sorted variables, the target's coding, and one coded row
+    per distinct match (one segment per variable, in variable order),
+    sorted by :func:`_sort_rows`.  One walk of :func:`_scan_matches`.
+    """
+    if len(pattern) == 0:
+        raise ValueError("pattern must be nonempty")
+    coding = _Coding(target.alphabet)
+    found: set[tuple] = set()
+
+    def on_match(values, start, end):
+        found.add(tuple(values))
+
+    _scan_matches(pattern, coding.encode(target), erasing, budget, 0, on_match)
+    return sorted(pattern.alphabet), coding, _sort_rows(list(found))
+
+
 def match_pattern(
     pattern: Word,
     target: Word,
@@ -594,19 +640,14 @@ def match_pattern(
     Enumerated by backtracking over the start position and per-variable
     segment lengths, with repeated variables pruned to their first
     binding.  The result is deduplicated and sorted by the images of the
-    variables in letter order.
+    variables in letter order, each image shortlex: the order lemma of
+    :func:`_sort_rows`.
     """
-    if len(pattern) == 0:
-        raise ValueError("pattern must be nonempty")
-    coding = _Coding(target.alphabet)
-    variables = sorted(pattern.alphabet)
-    found: set[tuple] = set()
-
-    def on_match(values, start, end):
-        found.add(tuple(values))
-
-    _scan_matches(pattern, coding.encode(target), erasing, budget, 0, on_match)
-    return [coding.substitution(variables, vals) for vals in sorted(found, key=_values_key)]
+    variables, coding, rows = _distinct_matches(pattern, target, erasing, budget)
+    # a plain dict lookup per image, where coding.word is a method call
+    words = {seg: coding.word(seg) for seg in set(itertools.chain.from_iterable(rows))}
+    image = words.__getitem__
+    return [Substitution(tuple(zip(variables, map(image, row)))) for row in rows]
 
 
 def scan_matches(

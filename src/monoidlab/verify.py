@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
 import time
 from collections import Counter
@@ -110,17 +111,22 @@ class Report:
 
 def substitution_to_dict(sub: Substitution, monoid=None) -> dict:
     """JSON-ready view of a substitution; element indices are resolved to
-    labels when a monoid is supplied."""
+    labels when a monoid is supplied.
+
+    Element indices are read as :func:`evaluate` reads them: any integer
+    type but ``bool``, numpy integers included."""
     out = {}
     for letter, value in sub.assignment:
         if value is ZERO:
             out[str(letter)] = "0"
         elif isinstance(value, Word):
             out[str(letter)] = str(value)
-        elif isinstance(value, int) and monoid is not None:
-            out[str(letter)] = monoid.label_text(value)
-        else:
+        elif isinstance(value, bool) or not hasattr(value, "__index__"):
             out[str(letter)] = repr(value)
+        elif monoid is not None:
+            out[str(letter)] = monoid.label_text(operator.index(value))
+        else:
+            out[str(letter)] = repr(operator.index(value))
     return out
 
 

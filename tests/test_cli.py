@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -12,11 +13,14 @@ from monoidlab import (
     HOLDS,
     INFINITY,
     HomomorphismViolationError,
+    Letter,
+    Word,
     check_rees,
     check_table,
     cli,
     depth_map,
     enumerate_small_rees,
+    generate_wn,
     match_pattern,
     parse_identity,
     parse_word,
@@ -288,6 +292,42 @@ def test_json_output_is_one_compact_line(capsys, argv, expected):
     _, out, err = run(capsys, *argv, "--json")
     assert err == ""
     assert out == json.dumps(expected()) + "\n"
+
+
+def test_match_output_is_the_substitution_route(capsys):
+    # match prints straight from the coded rows; its bytes must be those
+    # of rendering match_pattern's substitutions one by one.  w_1 and w_2
+    # spell letters with subscripts and superscripts
+    rng = random.Random(41)
+    pool = [Letter("x"), Letter("y"), Letter("z", 1), Letter("u", None, 2)]
+    cases = [(Word((Letter("x"),) * 20), generate_wn(1))]  # no non-erasing match
+    for i in range(24):
+        variables = rng.sample(pool, rng.randint(1, 3))
+        pattern = Word(tuple(rng.choice(variables) for _ in range(rng.randint(1, 4))))
+        cases.append((pattern, generate_wn(1 + i % 2)))
+    for pattern, target in cases:
+        for erasing in (True, False):
+            flags = [] if erasing else ["--no-erasing"]
+            subs = match_pattern(pattern, target, erasing)
+            _, out, err = run(capsys, "match", str(pattern), str(target), "--json", *flags)
+            assert err == ""
+            assert out == json.dumps([substitution_to_dict(s) for s in subs]) + "\n"
+            _, out, err = run(capsys, "match", str(pattern), str(target), *flags)
+            lines = [f"{len(subs)} substitutions"]
+            lines += ["  " + ", ".join(f"{l} -> {v}" for l, v in s.assignment) for s in subs]
+            assert err == ""
+            assert out == "\n".join(lines) + "\n"
+    assert match_pattern(*cases[0], erasing=False) == []
+
+
+def test_rees_json_in_row_blocks(capsys, monkeypatch):
+    # blocks of one, two or three rows, or one block, print the bytes of
+    # the whole dict
+    q = rees_quotient(parse_word_set("aabb"))
+    for block in (1, 2 * q.order, 3 * q.order, q.order * q.order):
+        monkeypatch.setattr(cli, "_JSON_BLOCK", block)
+        _, out, _ = run(capsys, "rees", "aabb", "--json")
+        assert out == json.dumps(q.to_json_dict()) + "\n"
 
 
 def test_rees_empty_set(capsys):

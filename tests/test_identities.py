@@ -435,6 +435,46 @@ def test_match_pattern_complete_on_small_inputs():
         assert mine == naive_matches(pattern, target, erasing)
 
 
+def test_distinct_matches_are_in_values_key_order():
+    # the order lemma of _sort_rows: the stable passes give _values_key
+    # order, whatever order the rows come in.  Over 2-3 letters, string
+    # order and shortlex order often disagree (b before aa)
+    rng = random.Random(37)
+    disagree = 0
+    for _ in range(300):
+        names = "xyzt"[: rng.randint(1, 4)]
+        pattern = Word(tuple(Letter(rng.choice(names)) for _ in range(rng.randint(1, 6))))
+        letters = "abc"[: rng.randint(2, 3)]
+        target = Word(tuple(Letter(rng.choice(letters)) for _ in range(rng.randint(0, 8))))
+        erasing = rng.random() < 0.5
+        variables, coding, rows = identities._distinct_matches(pattern, target, erasing, 10**9)
+        assert variables == sorted(pattern.alphabet)
+        found: set = set()
+        identities._scan_matches(
+            pattern, coding.encode(target), erasing, 10**9, 0,
+            lambda values, start, end: found.add(tuple(values)),
+        )
+        want = sorted(found, key=identities._values_key)
+        assert rows == want
+        disagree += sorted(found) != want
+        shuffled = list(found)
+        rng.shuffle(shuffled)
+        assert identities._sort_rows(shuffled) == want
+    assert disagree > 0
+
+
+def test_distinct_matches_order_is_shortlex_per_variable():
+    subs = match_pattern(parse_word("x"), parse_word("aab"))
+    assert [str(s[Letter("x")]) for s in subs] == ["1", "a", "b", "aa", "ab", "aab"]
+    subs = match_pattern(parse_word("xy"), parse_word("ab"))
+    pairs = [(str(s[Letter("x")]), str(s[Letter("y")])) for s in subs]
+    assert pairs == [
+        ("1", "1"), ("1", "a"), ("1", "b"), ("1", "ab"),
+        ("a", "1"), ("a", "b"), ("b", "1"), ("ab", "1"),
+    ]
+    assert identities._sort_rows([]) == []
+
+
 def test_check_rees_sigma_on_aabb():
     out = check_rees(AABB, parse_identity("x^3=x^4"))
     assert out.status == HOLDS

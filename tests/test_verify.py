@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from monoidlab import (
     check_star_property,
     cross_check_checkers,
     enumerate_small_rees,
+    evaluate,
     generate_wn,
     parse_identity,
     parse_word,
@@ -105,6 +107,19 @@ def test_determinism_modulo_millis_with_distinctness(default_report):
     # at max_n = 1 C9 is SKIPPED; max_n = 2 (the default) runs it
     again = run_claims(default_report.config)
     assert _without_millis(default_report) == _without_millis(again)
+
+
+def test_substitution_to_dict_reads_element_indices_as_evaluate_does():
+    # a numpy integer is an element index and a bool is not, in the
+    # renderer as in evaluate
+    q = rees_quotient(WordSet.of([parse_word("aabb")]))
+    x, y = Letter("x"), Letter("y")
+    sub = Substitution.of({x: np.int64(3), y: True})
+    assert verify_mod.substitution_to_dict(sub, q) == {"x": q.label_text(3), "y": "True"}
+    assert verify_mod.substitution_to_dict(sub) == {"x": "3", "y": "True"}
+    assert evaluate(Word((x,)), sub, q) == 3
+    with pytest.raises(TypeError):
+        evaluate(Word((y,)), sub, q)
 
 
 def test_enumerate_defaults():
