@@ -15,6 +15,8 @@ import json
 import operator
 import sys
 
+import numpy as np
+
 from .errors import BudgetExceededError, ParseError, WorkbenchError
 from .identities import (
     DEFAULT_MATCH_BUDGET,
@@ -42,24 +44,38 @@ def _print_json(payload) -> None:
     print(json.dumps(payload))
 
 
-# entries of the table per JSON block, so the ints of the whole table are
+# values per block of printed rows, so the text of the whole output is
 # never all live at once
-_JSON_BLOCK = 1 << 20
+_BLOCK = 1 << 16
+
+
+def _write_blocks(head: str, count: int, width: int, block, sep: str, tail: str) -> None:
+    """Write ``head``, then ``block(lo, hi)`` for consecutive row ranges
+    covering ``range(count)``, ``width`` values to a row and about
+    ``_BLOCK`` values to a range, with ``sep`` between blocks, then
+    ``tail``."""
+    write = sys.stdout.write
+    write(head)
+    step = max(1, _BLOCK // width)
+    for lo in range(0, count, step):
+        if lo:
+            write(sep)
+        write(block(lo, lo + step))
+    write(tail)
 
 
 def _cmd_rees(args) -> int:
     q = rees_quotient(parse_word_set(args.wordset))
     if args.json:
-        # the bytes of json.dumps(q.to_json_dict()), written in row blocks
+        # the bytes of json.dumps(q.to_json_dict()): str(i) is the JSON
+        # spelling of an int, and each index is spelled once
         head = {"elements": [str(lab) for lab in q.elements], "one": q.one, "zero": q.zero}
-        write = sys.stdout.write
-        write(json.dumps(head)[:-1] + ', "table": [')
-        rows = max(1, _JSON_BLOCK // q.order)
-        for lo in range(0, q.order, rows):
-            if lo:
-                write(", ")
-            write(json.dumps(q.table[lo : lo + rows].tolist())[1:-1])
-        write("]}\n")
+        spelled = np.array([str(i) for i in range(q.order)], dtype=object)
+
+        def block(lo, hi):
+            return ", ".join(["[" + ", ".join(r) + "]" for r in spelled[q.table[lo:hi]].tolist()])
+
+        _write_blocks(json.dumps(head)[:-1] + ', "table": [', q.order, q.order, block, ", ", "]}\n")
         return 0
     print(f"order {q.order}")
     labels = [q.label_text(i) for i in range(q.order)]
@@ -150,17 +166,26 @@ def _cmd_match(args) -> int:
     pattern = parse_word(args.pattern)
     target = parse_word(args.target)
     variables, coding, rows = _distinct_matches(pattern, target, not args.no_erasing, args.budget)
-    # each variable and each distinct image is spelled once
-    names = [str(v) for v in variables]
-    text = {seg: str(coding.word(seg)) for seg in set(itertools.chain.from_iterable(rows))}
-    image = text.__getitem__
+    # each variable and each distinct image is spelled once (in JSON when
+    # asked), and each row is joined from those pieces
+    spell = json.dumps if args.json else str
+    images = {seg: spell(str(coding.word(seg))) for seg in set(itertools.chain.from_iterable(rows))}
+    image = images.__getitem__
     if args.json:
-        _print_json([dict(zip(names, map(image, row))) for row in rows])
+        heads = [json.dumps(str(v)) + ": " for v in variables]
+
+        def block(lo, hi):
+            return ", ".join(["{" + ", ".join(map(operator.add, heads, map(image, row))) + "}"
+                              for row in rows[lo:hi]])
+
+        _write_blocks("[", len(rows), len(variables), block, ", ", "]\n")
         return 0
-    heads = [f"{name} -> " for name in names]
-    lines = [f"{len(rows)} substitutions"]
-    lines += ["  " + ", ".join(map(operator.add, heads, map(image, row))) for row in rows]
-    print("\n".join(lines))
+    heads = [f"{v} -> " for v in variables]
+
+    def block(lo, hi):
+        return "".join(["\n  " + ", ".join(map(operator.add, heads, map(image, row))) for row in rows[lo:hi]])
+
+    _write_blocks(f"{len(rows)} substitutions", len(rows), len(variables), block, "", "\n")
     return 0
 
 

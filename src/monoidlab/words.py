@@ -29,7 +29,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import total_ordering
 
 from .errors import ParseError
 
@@ -102,22 +102,41 @@ class Word:
     def alphabet(self) -> frozenset[Letter]:
         return frozenset(self.letters)
 
-    @cached_property
-    def _text(self) -> str:
-        # words are immutable, so each one is spelled once; the cache sits
-        # outside the dataclass fields, so equality and hashing ignore it
-        ls = self.letters
-        if not ls:
-            return "1"
-        if all(sub < 0 and sup < 0 for _, sub, sup in ls):
-            return "".join([chr(base) for base, _, _ in ls])
-        if len(ls) == 1 and ls[0][1] < 0:
-            # the trailing dot keeps y^2 dotted when read back
-            return f"{ls[0]}."
-        return ".".join(map(str, ls))
-
     def __str__(self) -> str:
-        return self._text
+        # words are immutable, so each one is spelled once; the memo sits in
+        # the instance dict outside the dataclass fields, so equality and
+        # hashing ignore it (a plain memo: before Python 3.12,
+        # functools.cached_property takes a lock on each first access)
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = _spell(self.letters)
+        return text
+
+
+class _LetterTexts(dict):
+    """``str(letter)`` per letter, each computed on first use."""
+
+    def __missing__(self, letter: Letter) -> str:
+        text = self[letter] = str(letter)
+        return text
+
+
+_LETTER_TEXT = _LetterTexts()
+
+
+def _spell(letters: tuple[Letter, ...]) -> str:
+    if not letters:
+        return "1"
+    parts = list(map(_LETTER_TEXT.__getitem__, letters))
+    text = "".join(parts)
+    if len(text) == len(letters):
+        # a plain letter spells as one character, any other as at least
+        # three, so the letters are all plain
+        return text
+    if len(letters) == 1 and letters[0][1] < 0:
+        # the trailing dot keeps y^2 dotted when read back
+        return text + "."
+    return ".".join(parts)
 
 
 EPSILON = Word()

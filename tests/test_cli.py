@@ -294,40 +294,56 @@ def test_json_output_is_one_compact_line(capsys, argv, expected):
     assert out == json.dumps(expected()) + "\n"
 
 
-def test_match_output_is_the_substitution_route(capsys):
-    # match prints straight from the coded rows; its bytes must be those
-    # of rendering match_pattern's substitutions one by one.  w_1 and w_2
-    # spell letters with subscripts and superscripts
+def test_match_output_is_the_substitution_route(capsys, monkeypatch):
+    # match joins each row from pieces spelled once and writes in blocks
+    # of rows; its bytes must be those of rendering match_pattern's
+    # substitutions one by one, at every block size.  w_1 and w_2 spell
+    # letters with subscripts and superscripts, y^2. is a one-letter word
+    # with a superscript, and erasing matches spell empty images as 1
     rng = random.Random(41)
     pool = [Letter("x"), Letter("y"), Letter("z", 1), Letter("u", None, 2)]
+    targets = [generate_wn(1), generate_wn(2), parse_word("y^2."), parse_word("aabab"), parse_word("abcab")]
     cases = [(Word((Letter("x"),) * 20), generate_wn(1))]  # no non-erasing match
-    for i in range(24):
+    for i in range(30):
         variables = rng.sample(pool, rng.randint(1, 3))
         pattern = Word(tuple(rng.choice(variables) for _ in range(rng.randint(1, 4))))
-        cases.append((pattern, generate_wn(1 + i % 2)))
+        cases.append((pattern, targets[i % len(targets)]))
     for pattern, target in cases:
+        width = len(pattern.alphabet)
         for erasing in (True, False):
             flags = [] if erasing else ["--no-erasing"]
             subs = match_pattern(pattern, target, erasing)
-            _, out, err = run(capsys, "match", str(pattern), str(target), "--json", *flags)
-            assert err == ""
-            assert out == json.dumps([substitution_to_dict(s) for s in subs]) + "\n"
-            _, out, err = run(capsys, "match", str(pattern), str(target), *flags)
+            as_json = json.dumps([substitution_to_dict(s) for s in subs]) + "\n"
             lines = [f"{len(subs)} substitutions"]
             lines += ["  " + ", ".join(f"{l} -> {v}" for l, v in s.assignment) for s in subs]
-            assert err == ""
-            assert out == "\n".join(lines) + "\n"
+            as_text = "\n".join(lines) + "\n"
+            for rows in (1, 2, 3, None):
+                if rows is not None:
+                    monkeypatch.setattr(cli, "_BLOCK", rows * width)
+                _, out, err = run(capsys, "match", str(pattern), str(target), "--json", *flags)
+                assert err == "" and out == as_json
+                _, out, err = run(capsys, "match", str(pattern), str(target), *flags)
+                assert err == "" and out == as_text
+            monkeypatch.undo()
     assert match_pattern(*cases[0], erasing=False) == []
+    # the inputs reach a one-letter target with a superscript, and empty
+    # images
+    assert any(str(t) == "y^2." for _, t in cases)
+    assert any(len(v) == 0 for p, t in cases for s in match_pattern(p, t) for _, v in s.assignment)
 
 
 def test_rees_json_in_row_blocks(capsys, monkeypatch):
     # blocks of one, two or three rows, or one block, print the bytes of
-    # the whole dict
-    q = rees_quotient(parse_word_set("aabb"))
-    for block in (1, 2 * q.order, 3 * q.order, q.order * q.order):
-        monkeypatch.setattr(cli, "_JSON_BLOCK", block)
-        _, out, _ = run(capsys, "rees", "aabb", "--json")
-        assert out == json.dumps(q.to_json_dict()) + "\n"
+    # the whole dict; wn:1,2 (order 191) has dotted labels and indices of
+    # several digits
+    for spec, order in (("aabb", 10), ("wn:1,2", 191)):
+        q = rees_quotient(parse_word_set(spec))
+        assert q.order == order
+        expected = json.dumps(q.to_json_dict()) + "\n"
+        for block in (1, 2 * q.order, 3 * q.order, q.order * q.order):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            _, out, _ = run(capsys, "rees", spec, "--json")
+            assert out == expected
 
 
 def test_rees_empty_set(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -464,6 +465,45 @@ def test_word_text_is_built_once_and_survives_copies(w, clone):
     # the fresh word has never been printed: the cached text is not a field
     assert fresh == w and hash(fresh) == hash(w)
     assert str(fresh) == text
+
+
+def _four_rules(w):
+    """The text of ``w`` from ``Letter.__str__`` and the four rules."""
+    if not w.letters:
+        return "1"
+    if all(sub < 0 and sup < 0 for _, sub, sup in w.letters):
+        return "".join(str(l) for l in w.letters)
+    if len(w.letters) == 1 and w.letters[0][1] < 0:
+        return f"{w.letters[0]}."
+    return ".".join(str(l) for l in w.letters)
+
+
+def test_word_text_follows_the_four_rules():
+    rng = random.Random(7)
+
+    def letter(kind):
+        base = rng.choice("abxyz")
+        sub = rng.randint(0, 12) if kind in ("sub", "both") else None
+        sup = rng.randint(0, 12) if kind in ("sup", "both") else None
+        return Letter(base, sub, sup)
+
+    cases = [EPSILON, Word((Letter("y", None, 2),)), Word((Letter("y", 3, 2),))]
+    for mix in (("plain",), ("plain", "sub"), ("plain", "sup"), ("sub", "sup", "both"),
+                ("plain", "sub", "sup", "both")):
+        for _ in range(40):
+            size = rng.randint(1, 9)
+            cases.append(Word(tuple(letter(rng.choice(mix)) for _ in range(size))))
+    for w in cases:
+        unspelled = Word(tuple(w.letters))
+        text = str(w)
+        assert text == _four_rules(w) == _spelled(w)
+        assert parse_word(text) == w
+        for clone in (copy.copy(w), pickle.loads(pickle.dumps(w))):
+            assert str(clone) == text
+            assert clone == unspelled and hash(clone) == hash(unspelled)
+        assert w == unspelled and hash(w) == hash(unspelled)
+        assert pickle.loads(pickle.dumps(unspelled)) == w
+        assert str(unspelled) == text
 
 
 def test_shared_match_words_print_as_parsed_ones():
