@@ -10,7 +10,6 @@ both`` disagreeing).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import operator
 import sys
@@ -165,12 +164,11 @@ def _cmd_check(args) -> int:
 def _cmd_match(args) -> int:
     pattern = parse_word(args.pattern)
     target = parse_word(args.target)
-    variables, coding, rows = _distinct_matches(pattern, target, not args.no_erasing, args.budget)
+    variables, images, rows = _distinct_matches(pattern, target, not args.no_erasing, args.budget)
     # each variable and each distinct image is spelled once (in JSON when
     # asked), and each row is joined from those pieces
     spell = json.dumps if args.json else str
-    images = {seg: spell(str(coding.word(seg))) for seg in set(itertools.chain.from_iterable(rows))}
-    image = images.__getitem__
+    image = [spell(str(w)) for w in images].__getitem__
     if args.json:
         heads = [json.dumps(str(v)) + ": " for v in variables]
 

@@ -11,6 +11,7 @@ on purpose and are cross-validated by the verify module.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from dataclasses import dataclass
@@ -130,6 +131,14 @@ class CheckOutcome:
         return self.status == HOLDS
 
 
+def _element_index(value) -> int | None:
+    """``value`` as an element index when it is one (any integer type but
+    ``bool``, numpy integers included), else None."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        return None
+    return operator.index(value)
+
+
 def evaluate(w: Word, subst: Substitution, monoid: FiniteMonoid) -> int:
     """Left-to-right product of the images of ``w`` in the monoid.
 
@@ -153,12 +162,10 @@ def evaluate(w: Word, subst: Substitution, monoid: FiniteMonoid) -> int:
             if monoid.word_set is None:
                 raise TypeError("word-valued assignments need a Rees quotient")
             e = monoid.element_of(value)
-        elif isinstance(value, bool) or not hasattr(value, "__index__"):
+        elif (e := _element_index(value)) is None:
             raise TypeError(f"unsupported assignment value {value!r}")
-        else:
-            e = operator.index(value)
-            if not (0 <= e < monoid.order):
-                raise IndexError(f"element index {e} out of range")
+        elif not (0 <= e < monoid.order):
+            raise IndexError(f"element index {e} out of range")
         acc = monoid.mul(acc, e)
         if monoid.zero is not None and acc == monoid.zero:
             return acc
@@ -213,7 +220,7 @@ def check_table(monoid: FiniteMonoid, ident: Identity, budget: int = DEFAULT_TAB
     search that stops short of the total raises
     :class:`BudgetExceededError`.
     """
-    variables = sorted(ident.lhs.alphabet | ident.rhs.alphabet)
+    variables = ident.variables
     k = len(variables)
     n = monoid.order
     total = n**k
@@ -583,50 +590,35 @@ def _scan_matches(
     return spent, key
 
 
-def _sort_rows(rows: list[tuple]) -> list[tuple]:
-    """Sort coded rows in place into :func:`_values_key` order and return them.
-
-    The sort makes two stable passes per variable, from the last variable
-    to the first: by the segment, then by its length.
-
-    **Lemma.** The result is ordered lexicographically on
-    (len_0, seg_0, ..., len_{k-1}, seg_{k-1}), which is ``_values_key``.
-
-    **Proof.** Stable passes sorting by the least significant component
-    first leave the rows ordered lexicographically by the components in
-    the reverse order of the passes, the last pass most significant.
-    The passes read seg_{k-1}, len_{k-1}, ..., seg_0, len_0.
-
-    A segment fixes its length, so distinct rows have distinct keys, and
-    the result depends neither on the order of the input nor on the hash
-    seed.  Each pass compares plain strings or ints, with no key tuple
-    per row.
-    """
-    for i in reversed(range(len(rows[0]) if rows else 0)):
-        rows.sort(key=operator.itemgetter(i))
-        rows.sort(key=lambda row: len(row[i]))
-    return rows
-
-
 def _distinct_matches(
     pattern: Word, target: Word, erasing: bool, budget: int
-) -> tuple[list[Letter], _Coding, list[tuple]]:
+) -> tuple[list[Letter], list[Word], list[tuple[int, ...]]]:
     """The distinct factor matches of the pattern into the target.
 
-    Returns the sorted variables, the target's coding, and one coded row
-    per distinct match (one segment per variable, in variable order),
-    sorted by :func:`_sort_rows`.  One walk of :func:`_scan_matches`.
+    Returns the sorted variables, the distinct images in shortlex order,
+    and one row per distinct match: the index in the images of each
+    variable's image, in variable order, the rows sorted as tuples.  One
+    walk of :func:`_scan_matches` numbers each segment the first time it
+    is bound; the segments are then ranked once by ``(len, seg)``, which
+    is shortlex (see :class:`_Coding`), and each row is remapped to ranks.
+    Rank order is ``(len, seg)`` order, so lexicographic order on rank
+    tuples is :func:`_values_key` order.
     """
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
     coding = _Coding(target.alphabet)
+    ids = collections.defaultdict(itertools.count().__next__)  # segment -> number
     found: set[tuple] = set()
 
     def on_match(values, start, end):
-        found.add(tuple(values))
+        found.add(tuple(map(ids.__getitem__, values)))
 
     _scan_matches(pattern, coding.encode(target), erasing, budget, 0, on_match)
-    return sorted(pattern.alphabet), coding, _sort_rows(list(found))
+    segs = sorted(ids, key=lambda seg: (len(seg), seg))
+    rank = {ids[seg]: r for r, seg in enumerate(segs)}
+    # popping frees each numbered row as its ranked copy is made
+    rows = sorted(tuple(map(rank.__getitem__, found.pop())) for _ in range(len(found)))
+    return sorted(pattern.alphabet), list(map(coding.word, segs)), rows
 
 
 def match_pattern(
@@ -640,13 +632,10 @@ def match_pattern(
     Enumerated by backtracking over the start position and per-variable
     segment lengths, with repeated variables pruned to their first
     binding.  The result is deduplicated and sorted by the images of the
-    variables in letter order, each image shortlex: the order lemma of
-    :func:`_sort_rows`.
+    variables in letter order, each image shortlex.
     """
-    variables, coding, rows = _distinct_matches(pattern, target, erasing, budget)
-    # a plain dict lookup per image, where coding.word is a method call
-    words = {seg: coding.word(seg) for seg in set(itertools.chain.from_iterable(rows))}
-    image = words.__getitem__
+    variables, images, rows = _distinct_matches(pattern, target, erasing, budget)
+    image = images.__getitem__
     return [Substitution(tuple(zip(variables, map(image, row)))) for row in rows]
 
 
@@ -727,7 +716,7 @@ def check_rees(
     spent = 0  # matcher nodes, summed over every scan
     # one coding for the whole set, so witness keys compare across words
     coding = _Coding(frozenset().union(*(w.alphabet for w in word_set)))
-    variables = sorted(alf_l)
+    variables = ident.variables
     var_index = {v: i for i, v in enumerate(variables)}
     examined = 0
     key = None  # the least mismatch so far, carried from walk to walk

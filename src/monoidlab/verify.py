@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 import random
 import time
 from collections import Counter
@@ -26,6 +25,7 @@ from .identities import (
     CheckOutcome,
     Identity,
     Substitution,
+    _element_index,
     basis,
     check_no_div_instance,
     check_rees,
@@ -121,12 +121,12 @@ def substitution_to_dict(sub: Substitution, monoid=None) -> dict:
             out[str(letter)] = "0"
         elif isinstance(value, Word):
             out[str(letter)] = str(value)
-        elif isinstance(value, bool) or not hasattr(value, "__index__"):
+        elif (e := _element_index(value)) is None:
             out[str(letter)] = repr(value)
         elif monoid is not None:
-            out[str(letter)] = monoid.label_text(operator.index(value))
+            out[str(letter)] = monoid.label_text(e)
         else:
-            out[str(letter)] = repr(operator.index(value))
+            out[str(letter)] = repr(e)
     return out
 
 

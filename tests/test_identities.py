@@ -436,9 +436,10 @@ def test_match_pattern_complete_on_small_inputs():
 
 
 def test_distinct_matches_are_in_values_key_order():
-    # the order lemma of _sort_rows: the stable passes give _values_key
-    # order, whatever order the rows come in.  Over 2-3 letters, string
-    # order and shortlex order often disagree (b before aa)
+    # the order argument of _distinct_matches: ranking the distinct images
+    # shortlex once makes plain tuple order on the rows _values_key order.
+    # Over 2-3 letters, string order and shortlex order often disagree
+    # (b before aa)
     rng = random.Random(37)
     disagree = 0
     for _ in range(300):
@@ -447,19 +448,21 @@ def test_distinct_matches_are_in_values_key_order():
         letters = "abc"[: rng.randint(2, 3)]
         target = Word(tuple(Letter(rng.choice(letters)) for _ in range(rng.randint(0, 8))))
         erasing = rng.random() < 0.5
-        variables, coding, rows = identities._distinct_matches(pattern, target, erasing, 10**9)
+        variables, images, rows = identities._distinct_matches(pattern, target, erasing, 10**9)
         assert variables == sorted(pattern.alphabet)
+        assert all((len(a), a.letters) < (len(b), b.letters) for a, b in zip(images, images[1:]))
+        assert all(len(row) == len(variables) for row in rows)
+        assert {i for row in rows for i in row} == set(range(len(images)))
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        coding = identities._Coding(target.alphabet)
         found: set = set()
         identities._scan_matches(
             pattern, coding.encode(target), erasing, 10**9, 0,
             lambda values, start, end: found.add(tuple(values)),
         )
         want = sorted(found, key=identities._values_key)
-        assert rows == want
+        assert [[images[i] for i in row] for row in rows] == [list(map(coding.word, row)) for row in want]
         disagree += sorted(found) != want
-        shuffled = list(found)
-        rng.shuffle(shuffled)
-        assert identities._sort_rows(shuffled) == want
     assert disagree > 0
 
 
@@ -472,7 +475,8 @@ def test_distinct_matches_order_is_shortlex_per_variable():
         ("1", "1"), ("1", "a"), ("1", "b"), ("1", "ab"),
         ("a", "1"), ("a", "b"), ("b", "1"), ("ab", "1"),
     ]
-    assert identities._sort_rows([]) == []
+    empty = identities._distinct_matches(parse_word("xx"), parse_word("ab"), False, 10**9)
+    assert empty == ([Letter("x")], [], [])
 
 
 def test_check_rees_sigma_on_aabb():
