@@ -368,33 +368,37 @@ def _scan_matches(
     returned), and when ``on_match`` returns a true value the walk takes
     the key of that match as the new key.  While the key is None nothing
     compares, so a walk whose callback never returns true is the plain
-    walk.  After each binding the walk takes the longest prefix of the
-    sorted variables that is bound, and cuts the subtree when that prefix
-    compares greater than the same prefix of the key, or equal to it when
-    it covers every variable: every completion then compares greater, or
-    equal.  An equal prefix that is not complete is walked on.  Only
-    blocks that lengthen the prefix compare, and only over the variables
-    they add: a path that fell below the key at some block stays below it,
-    and that block is remembered.  A seeded key is set before any prefix
-    is bound, and a new key comes from a match below every open block, so
-    either way every open prefix equals it and no block is remembered.
-    Only keys below the current key reach ``on_match``.  A bound cut ends
-    its block, as the own lookahead does.
+    walk.  The cut: a binding that lengthens the bound prefix of the
+    sorted variables compares that whole prefix with the key, from
+    variable 0, and cuts the subtree when the first pair that differs
+    compares greater, or when no pair differs and the prefix covers every
+    variable.  Every completion then compares greater, or equal.  Only
+    keys below the current key reach ``on_match``.  A bound cut ends its
+    block, as the own lookahead does.
+
+    **Invariant.** No open prefix compares greater than the key.  A
+    greater one is cut at the binding that forms it, and the key changes
+    only to the values of the current path, which every open prefix
+    equals.  A seeded key is set before any prefix is bound.  So a pair
+    that differs before the variables a binding adds is smaller, and the
+    path it leaves below the key is walked on with no state kept.
 
     **Lemma.** Skipping the rest of a block after its first bound cut
     changes nothing but the node count.
 
     **Proof.** Say the bound cuts block d at segment length s.  Block d
-    binds its variable a = ``block_var[d]``, the first variable of its
-    span.  The variables before a equal the key, because the cut needs
-    ``less_at >= d``.  At length s the pair ``(s, seg)`` compares at least
-    ``key[a]``: it is greater, or equal with a later variable greater or
-    the prefix complete.  Shortlex compares length first, so every longer
-    segment of the block compares strictly greater at a.  The key changes
-    only at an ``on_match`` call that returns true, and only falls, so by
-    induction over the longer segments, in the walk one step at a time
-    each of them ends in a bound cut against the same key, a failed run or
-    the own lookahead: none calls ``on_match`` and none opens a block.
+    binds its variable a = ``block_var[d]``, the first variable it adds to
+    the prefix.  Every segment of block d shares the variables before a;
+    by the invariant they compare no greater than the key, and the cut
+    found no smaller pair, so they equal it.  At length s the pair
+    ``(s, seg)`` compares at least ``key[a]``: it is greater, or equal
+    with a later variable greater or the prefix complete.  Shortlex
+    compares length first, so every longer segment of the block compares
+    strictly greater at a.  The key changes only at an ``on_match`` call
+    that returns true, and only falls, so by induction over the longer
+    segments, in the walk one step at a time each of them ends in a bound
+    cut against the same key, a failed run or the own lookahead: none
+    calls ``on_match`` and none opens a block.
     ``events`` has risen at the first cut, so the same subtrees are
     recorded dead.  The ``on_match`` calls are the same, in the same
     order.  A walk whose key stays None never cuts and is untouched.
@@ -465,21 +469,16 @@ def _scan_matches(
             ]
         return hit
 
-    # Block d binds block_var[d]; when that lengthens the bound prefix of
-    # the sorted variables from lo to hi, spans[d] = (lo, hi), and lo is
-    # then block_var[d] itself.  Blocks that lengthen nothing get None.
-    spans: list[tuple[int, int] | None] = [None] * k
+    # ends[d] is the length of the bound prefix of the sorted variables
+    # after block d, or 0 when block d lengthens nothing.
+    ends = [0] * k
     bound_vars: set[int] = set()
-    lo = 0
+    hi = 0
     for d, vi in enumerate(block_var):
         bound_vars.add(vi)
-        hi = lo
         while hi in bound_vars:
             hi += 1
-        if hi > lo:
-            spans[d] = (lo, hi)
-        lo = hi
-    less_at = k  # extending block where the path fell below key, else k
+            ends[d] = hi
 
     # The dead-state memo; live[d] reads the images in the state of block d.
     live = [
@@ -548,30 +547,19 @@ def _scan_matches(
                     break
                 end += len(s)
             else:
-                span = spans[d]
-                if span is not None and key is not None and less_at >= d:
-                    a, b = span
-                    i = a
+                b = ends[d]
+                if b and key is not None:
+                    i = 0
                     while i < b and values[i] == key[i][1]:
                         i += 1
-                    if i < b:
-                        if (len(values[i]), values[i]) > key[i]:
-                            events += 1
-                            nxt[d] = top[d] + 1  # longer segments compare greater
-                            continue
-                        less_at = d
-                    elif b == k:
+                    if i == k or i < b and (len(values[i]), values[i]) > key[i]:
                         events += 1
-                        nxt[d] = top[d] + 1
+                        nxt[d] = top[d] + 1  # longer segments compare greater
                         continue
-                    else:
-                        less_at = k
                 if d == last:
                     events += 1
                     if on_match(values, start, end):
-                        # a match below every open block: open prefixes all equal it
                         key = _values_key(values)
-                        less_at = k
                 else:
                     # each live image needs its later copies right of end
                     for j, c in room_terms[d + 1]:
@@ -688,9 +676,10 @@ def check_rees(
 
     The witness is the least mismatch under :func:`_values_key` (the
     images in sorted variable order, each shortlex), and the search is a
-    branch and bound for it: once a mismatch is known, the matcher cuts
-    every subtree whose bound prefix of sorted variables already compares
-    greater than the best key, or equal to all of it, and a cut ends its
+    branch and bound for it: once a mismatch is known, the matcher
+    compares the whole bound prefix of sorted variables with the best key
+    at each binding that lengthens it, and cuts the subtree when the
+    prefix compares greater, or equal to all of the key; a cut ends its
     block, since every longer segment there compares greater too (see
     :func:`_scan_matches`).  The matcher keeps the key and hands it from
     each walk to the next, and the witness is read back from the key the

@@ -19,7 +19,6 @@ from monoidlab import (
     ZERO,
     BadZeroError,
     BudgetExceededError,
-    CheckOutcome,
     Identity,
     Letter,
     ParseError,
@@ -46,7 +45,7 @@ from monoidlab import (
     separation_identity,
 )
 from monoidlab import identities
-from monoidlab.verify import random_identity, random_no_div_instance
+from monoidlab.verify import random_identity, random_no_div_instance, substitution_to_dict
 
 
 def ws(*texts):
@@ -552,13 +551,49 @@ def test_check_rees_holds_search_pays_nothing_for_the_bound():
     assert info.value.spent == 5_543
 
 
-@pytest.mark.parametrize("n, nodes", [(2, 1_022), (3, 11_640), (4, 126_582)])
-def test_check_rees_diagonal_budget_edge(n, nodes):
-    # a bound cut ends its block, so the diagonal needs exactly these
-    # nodes, with the identity witness found at the first match examined
-    word_set, ident = WordSet.of([generate_wn(n)]), separation_identity(n)
+def _budget_edge(k, text, nodes, evaluations, witness, *marks):
+    return pytest.param(k, text, nodes, evaluations, witness, id=f"{k}-{nodes}", marks=marks)
+
+
+@pytest.mark.parametrize(
+    "k, text, nodes, evaluations, witness",
+    [
+        # the diagonal sep(k) in w_k, with the identity witness found at
+        # the first match examined
+        _budget_edge(2, None, 1_022, 1, None),
+        _budget_edge(3, None, 11_640, 1, None),
+        _budget_edge(4, None, 126_582, 1, None),
+        _budget_edge(5, None, 1_269_098, 1, None, pytest.mark.stretch),
+        # searches whose best key falls several times
+        _budget_edge(3, "xzty=xzyt", 176_185, 4, {"t": "t_1", "x": "1", "y": "z_1", "z": "1"}),
+        _budget_edge(
+            3,
+            "xxzty=zxyxt",
+            23_523,
+            12,
+            {"t": "1", "x": "x", "y": "z_1.y_1^3.z_2.y_2^3.z_3.y_3^3", "z": "1"},
+        ),
+        _budget_edge(
+            3, "ytxzz=zyxzt", 22_222, 11, {"t": "1", "x": "1", "y": "t_1.z_2.t_2.z_3.t_3.x", "z": "z_1"}
+        ),
+        _budget_edge(2, "xyzt=ytzx", 20_945, 4, {"t": "1", "x": "t_1", "y": "1", "z": "z_1"}),
+        _budget_edge(2, "xzty=zxyt", 20_466, 5, {"t": "1", "x": "t_1", "y": "1", "z": "z_1"}),
+    ],
+)
+def test_check_rees_diagonal_budget_edge(k, text, nodes, evaluations, witness):
+    # a bound cut ends its block, so each FAIL search needs exactly these
+    # nodes and examines exactly these matches; a row with no identity is
+    # the diagonal sep(k), whose witness is the identity on w_k's letters
+    word_set = WordSet.of([generate_wn(k)])
+    ident = separation_identity(k) if text is None else parse_identity(text)
+    if witness is None:
+        witness = substitution_to_dict(Substitution.identity_on(generate_wn(k).alphabet))
     out = check_rees(word_set, ident, budget=nodes)
-    assert out == CheckOutcome(FAILS, Substitution.identity_on(generate_wn(n).alphabet), 1)
+    assert (out.status, substitution_to_dict(out.witness), out.evaluations) == (
+        FAILS,
+        witness,
+        evaluations,
+    )
     with pytest.raises(BudgetExceededError) as info:
         check_rees(word_set, ident, budget=nodes - 1)
     assert info.value.spent == nodes
@@ -569,8 +604,10 @@ def test_bounded_walk_reports_the_running_minimum():
     # reports exactly those whose key is below every key reported before,
     # in the same order, and returns the key of the last one.  The fixed
     # case catches a cut that ends a block on a comparison that fell below
-    # the best key.  A second walk seeded with that key reports nothing
-    # and hands it back unchanged, as check_rees seeds each walk
+    # the best key.  A walk seeded with that key reports nothing and hands
+    # it back unchanged, as check_rees seeds each walk.  A walk seeded with
+    # the key of a random match reports the running minimum below that
+    # seed, so seeded walks are also compared mid-range
     rng = random.Random(31)
     cases = [("yzzz", "abbaaab", False, None)]
     for _ in range(3000):
@@ -588,24 +625,36 @@ def test_bounded_walk_reports_the_running_minimum():
         identities._scan_matches(
             *args, lambda values, start, end: every.append((tuple(values), start, end)), other
         )
-        want, low = [], None
-        for match in every:
-            key = identities._values_key(match[0])
-            if low is None or key < low:
-                want.append(match)
-                low = key
+
+        def running_minimum(low):
+            want = []
+            for match in every:
+                key = identities._values_key(match[0])
+                if low is None or key < low:
+                    want.append(match)
+                    low = key
+            return want
+
         got: list = []
 
         def keep(values, start, end):
             got.append((tuple(values), start, end))
             return True
 
+        want = running_minimum(None)
         _, key = identities._scan_matches(*args, keep, other)
         assert got == want, (pattern, target, erasing, other)
         assert key == (identities._values_key(got[-1][0]) if got else None)
         got.clear()
         _, seeded = identities._scan_matches(*args, keep, other, key)
         assert got == [] and seeded == key
+        if every:
+            seed = identities._values_key(rng.choice(every)[0])
+            want = running_minimum(seed)
+            got.clear()
+            _, seeded = identities._scan_matches(*args, keep, other, seed)
+            assert got == want, (pattern, target, erasing, other, seed)
+            assert seeded == (identities._values_key(got[-1][0]) if got else seed)
 
 
 @pytest.mark.stretch
