@@ -78,24 +78,24 @@ def _cmd_rees(args) -> int:
         return 0
     print(f"order {q.order}")
     labels = [q.label_text(i) for i in range(q.order)]
-    width = max(len(l) for l in labels)
-    header = " " * (width + 2) + " ".join(l.rjust(width) for l in labels)
-    print(header)
-    for i, row in enumerate(q.table):
-        cells = " ".join(labels[v].rjust(width) for v in row.tolist())
-        print(f"{labels[i].rjust(width)} | {cells}")
+    width = max(map(len, labels))
+    padded = [l.rjust(width) for l in labels]
+    print(" " * (width + 2) + " ".join(padded))
+    # row by row: the whole table's tolist() would hold every entry as a
+    # Python int at once
+    for label, row in zip(padded, q.table):
+        print(f"{label} | {' '.join(map(padded.__getitem__, row.tolist()))}")
     return 0
 
 
 def _cmd_depth(args) -> int:
-    w = parse_word(args.word)
-    depths = depth_map(w)
-    ordered = sorted(depths.items())
+    depths = depth_map(parse_word(args.word))
+    spelled = [(str(l), "inf" if d == INFINITY else d) for l, d in sorted(depths.items())]
     if args.json:
-        _print_json({str(l): ("inf" if d == INFINITY else d) for l, d in ordered})
+        _print_json(dict(spelled))
         return 0
-    for letter, d in ordered:
-        print(f"{letter}\t{'inf' if d == INFINITY else d}")
+    for letter, d in spelled:
+        print(f"{letter}\t{d}")
     return 0
 
 
@@ -121,17 +121,6 @@ def _resolve_monoid(spec: str, method: str):
     raise ParseError(f"unknown monoid kind {kind!r} (use rees: or preset:)", 0)
 
 
-def _outcome_dict(outcome, monoid) -> dict:
-    witness = None
-    if outcome.witness is not None:
-        witness = substitution_to_dict(outcome.witness, monoid)
-    return {
-        "status": outcome.status,
-        "witness": witness,
-        "evaluations": outcome.evaluations,
-    }
-
-
 def _cmd_check(args) -> int:
     method = args.method
     word_set, monoid = _resolve_monoid(args.monoid, method)
@@ -143,16 +132,23 @@ def _cmd_check(args) -> int:
         results["table"] = check_table(monoid, ident, table_budget)
     if method in ("rees", "both"):
         results["rees"] = check_rees(word_set, ident, match_budget)
+    # each witness is rendered once, and both forms read the rendering
+    payload = {
+        name: {
+            "status": out.status,
+            "witness": None if out.witness is None else substitution_to_dict(out.witness, monoid),
+            "evaluations": out.evaluations,
+        }
+        for name, out in results.items()
+    }
     statuses = {out.status for out in results.values()}
     if args.json:
-        payload = {name: _outcome_dict(out, monoid) for name, out in results.items()}
-        payload["agree"] = len(statuses) == 1
-        _print_json(payload)
+        _print_json({**payload, "agree": len(statuses) == 1})
     else:
-        for name, out in results.items():
-            line = f"{out.status}" if len(results) == 1 else f"{name}: {out.status}"
-            if out.witness is not None:
-                line += f"  witness {json.dumps(substitution_to_dict(out.witness, monoid))}"
+        for name, out in payload.items():
+            line = out["status"] if len(payload) == 1 else f"{name}: {out['status']}"
+            if out["witness"] is not None:
+                line += f"  witness {json.dumps(out['witness'])}"
             print(line)
     if len(statuses) > 1:
         # the checkers are each other's oracle: a split verdict is a bug
@@ -166,24 +162,19 @@ def _cmd_match(args) -> int:
     target = parse_word(args.target)
     variables, images, rows = _distinct_matches(pattern, target, not args.no_erasing, args.budget)
     # each variable and each distinct image is spelled once (in JSON when
-    # asked), and each row is joined from those pieces
-    spell = json.dumps if args.json else str
-    image = [spell(str(w)) for w in images].__getitem__
+    # asked), and each row is joined from those pieces; the two forms
+    # differ only in these literals
     if args.json:
-        heads = [json.dumps(str(v)) + ": " for v in variables]
-
-        def block(lo, hi):
-            return ", ".join(["{" + ", ".join(map(operator.add, heads, map(image, row))) + "}"
-                              for row in rows[lo:hi]])
-
-        _write_blocks("[", len(rows), len(variables), block, ", ", "]\n")
-        return 0
-    heads = [f"{v} -> " for v in variables]
+        spell, arrow, head, start, end, sep, tail = json.dumps, ": ", "[", "{", "}", ", ", "]\n"
+    else:
+        spell, arrow, head, start, end, sep, tail = str, " -> ", f"{len(rows)} substitutions", "\n  ", "", "", "\n"
+    image = [spell(str(w)) for w in images].__getitem__
+    heads = [spell(str(v)) + arrow for v in variables]
 
     def block(lo, hi):
-        return "".join(["\n  " + ", ".join(map(operator.add, heads, map(image, row))) for row in rows[lo:hi]])
+        return sep.join([start + ", ".join(map(operator.add, heads, map(image, row))) + end for row in rows[lo:hi]])
 
-    _write_blocks(f"{len(rows)} substitutions", len(rows), len(variables), block, "", "\n")
+    _write_blocks(head, len(rows), len(variables), block, sep, tail)
     return 0
 
 

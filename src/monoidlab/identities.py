@@ -336,7 +336,8 @@ def _scan_matches(
     ``values`` holds one coded segment per pattern variable in sorted
     variable order and is mutated in place; callbacks must copy whatever
     they keep.  The matched span is ``target[start:end]``.  The same
-    assignment can reach the callback once per start position.
+    assignment can reach the callback once per start position.  An empty
+    pattern raises ``ValueError``.
 
     The walk backtracks, with an explicit stack, over the start position
     and the segment of each variable at its first occurrence; later
@@ -426,6 +427,8 @@ def _scan_matches(
     nothing, so ``on_match`` sees exactly the calls of the plain walk, in
     the same order, and only the node count falls.
     """
+    if len(pattern) == 0:
+        raise ValueError("pattern must be nonempty")
     variables = sorted(pattern.alphabet)
     var_index = {v: i for i, v in enumerate(variables)}
     pat = [var_index[c] for c in pattern.letters]
@@ -592,8 +595,6 @@ def _distinct_matches(
     Rank order is ``(len, seg)`` order, so lexicographic order on rank
     tuples is :func:`_values_key` order.
     """
-    if len(pattern) == 0:
-        raise ValueError("pattern must be nonempty")
     coding = _Coding(target.alphabet)
     ids = collections.defaultdict(itertools.count().__next__)  # segment -> number
     found: set[tuple] = set()
@@ -642,8 +643,6 @@ def scan_matches(
     deduplicated: a substitution whose image occurs at several positions
     is reported once per position.
     """
-    if len(pattern) == 0:
-        raise ValueError("pattern must be nonempty")
     coding = _Coding(target.alphabet)
     variables = sorted(pattern.alphabet)
 

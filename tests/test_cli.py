@@ -179,6 +179,13 @@ def test_unknown_preset_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["aabb", "foo:aabb"])
+def test_monoid_spec_needs_a_known_kind(capsys, spec):
+    code, out, err = run(capsys, "check", "--monoid", spec, "--identity", "x=x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "at position 0" in err
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "match", "x", "ab", "--budget", "0")
     assert code == 3 and "budget" in err
@@ -346,6 +353,27 @@ def test_rees_json_in_row_blocks(capsys, monkeypatch):
             assert out == expected
 
 
+@pytest.mark.parametrize("spec", ["aabb", "wn:1,2", ""])
+def test_rees_text_table(capsys, spec):
+    # the order, a header of the labels, then a row per element: its
+    # label, a bar and the label of each product, every label right-aligned
+    # to the widest; wn:1,2 has dotted labels of uneven width
+    data = rees_quotient(parse_word_set(spec)).to_json_dict()
+    labels = data["elements"]
+    width = max(len(l) for l in labels)
+    if spec == "wn:1,2":
+        assert "." in labels[-2] and len({len(l) for l in labels}) > 2
+    lines = [f"order {len(labels)}", " " * (width + 2) + " ".join(l.rjust(width) for l in labels)]
+    for label, row in zip(labels, data["table"]):
+        lines.append(f"{label.rjust(width)} | " + " ".join(labels[v].rjust(width) for v in row))
+    code, out, err = run(capsys, "rees", spec)
+    assert (code, err) == (0, "")
+    # the numbers of the lines that differ: pytest's diff of long lines is slow
+    got = out.split("\n")
+    assert len(got) == len(lines) + 1 and got[-1] == ""
+    assert [i for i, (g, e) in enumerate(zip(got, lines)) if g != e] == []
+
+
 def test_rees_empty_set(capsys):
     code, out, _ = run(capsys, "rees", "", "--json")
     assert code == 0
@@ -360,6 +388,9 @@ def test_enumerate(capsys):
         {"word": "abab", "order": 9},
         {"word": "abba", "order": 10},
     ]
+    code, out, _ = run(capsys, "enumerate")
+    assert code == 0
+    assert out == "aabb\t10\nabab\t9\nabba\t10\n"
 
 
 def test_verify_subcommand_writes_report(capsys, tmp_path):

@@ -235,6 +235,45 @@ def test_quotient_map_names_a_corrupted_graph_entry(monkeypatch):
     assert info.value.witness == (mapping.index(t), source_q.element_of(Word((letter,))))
 
 
+def _identity_moved(factors, code, parent, last, delta):
+    # the empty factor is no longer element 0
+    return [factors[1], factors[0], *factors[2:]], code, parent, last, delta
+
+
+def _element_unreached(factors, code, parent, last, delta):
+    # one more element, named by no source factor and reached by no
+    # letter, before the zero, which moves up by one; the rest of the
+    # graph is consistent, so the homomorphism check passes
+    n = len(factors)
+    delta = np.where(delta == n, n + 1, delta)
+    delta = np.vstack([delta[:n], np.full((2, delta.shape[1]), n + 1, dtype=delta.dtype)])
+    return [*factors, (Letter("q"),)], code, parent, last, delta
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_identity_moved, "map does not fix the identity and the zero"),
+        (_element_unreached, "map is not surjective"),
+    ],
+    ids=["identity", "surjective"],
+)
+def test_quotient_map_refuses_a_corrupted_target_graph(monkeypatch, corrupt, message):
+    source = WordSet.of([generate_wn(1), generate_wn(2)])
+    target = WordSet.of([generate_wn(1)])
+    real = rees_mod._factor_graph
+    assert Letter("q") not in {l for w in source for l in w.letters}
+
+    def corrupted(word_set, limit=INFINITY):
+        graph = real(word_set, limit)
+        return corrupt(*graph) if word_set == target else graph
+
+    monkeypatch.setattr(rees_mod, "_factor_graph", corrupted)
+    with pytest.raises(HomomorphismViolationError) as info:
+        quotient_map(source, target)
+    assert str(info.value) == message
+
+
 def test_table_limit_raises_before_building_the_table():
     # 128 distinct letters have 128 * 129 / 2 nonempty factors
     word = parse_word(".".join(f"a_{i}" for i in range(128)))
